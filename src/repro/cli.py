@@ -432,24 +432,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="invariants and metamorphic checks only "
                              "(no layout oracles; the fast CI smoke mode)")
     verify.add_argument("--check", action="append", dest="checks",
-                        default=None, metavar="NAME",
-                        help="run only this per-module check (repeatable), "
-                             "e.g. --check incremental_equivalence; the "
-                             "envelope still follows --skip-envelope")
+                        default=None, metavar="NAME", type=_check_name,
+                        help="run only this check (repeatable), e.g. "
+                             "--check incremental_equivalence; a named "
+                             "check runs even under --skip-envelope")
     verify.add_argument("--inject", type=float, default=None, metavar="X",
                         help="self-test: scale the direct standard-cell "
                              "path AND the numpy backend's track kernel "
                              "by X and require the harness to catch both "
                              "divergences")
     verify.add_argument("--backend-report", default=None, metavar="FILE",
-                        help="measure the numpy-vs-exact float error "
-                             "envelope over the corpus and write the "
-                             "artifact (VERIFY_backend_envelope.json "
-                             "format) to FILE")
+                        help="write the numpy-vs-exact float error "
+                             "envelope backend_equivalence measured "
+                             "(VERIFY_backend_envelope.json format) to "
+                             "FILE")
     verify.add_argument("--congestion-report", default=None, metavar="FILE",
-                        help="route the corpus's standard-cell cases and "
-                             "write the predicted-vs-routed channel "
-                             "demand artifact "
+                        help="write the predicted-vs-routed channel "
+                             "demand envelope congestion_oracle measured "
                              "(VERIFY_congestion_envelope.json format) "
                              "to FILE")
     _add_jobs_argument(verify)
@@ -1172,8 +1171,47 @@ def _cmd_eco(args) -> None:
               "from-scratch rescan")
 
 
+def _check_name(value: str) -> str:
+    """``--check`` argument type: a registered check name (an unknown
+    one is an argparse usage error)."""
+    from repro.errors import VerificationError
+    from repro.verify import check_named
+
+    try:
+        check_named(value)
+    except VerificationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _describe_envelope(record) -> List[str]:
+    """One line per methodology with cases: each bounded field's
+    observed range against its band, then the violation count."""
+    lines = []
+    for methodology, bands in record.bounds.items():
+        entry = record.summary[methodology]
+        if not entry["cases"]:
+            continue
+        ranges = [
+            f"{field} {_figure(entry[field]['min'])}.."
+            f"{_figure(entry[field]['max'])} (bounds {_figure(low)}.."
+            f"{_figure(high)})"
+            for field, (low, high) in bands.items()
+        ]
+        lines.append(
+            f"{record.kind}[{methodology}]: {entry['cases']} cases, "
+            + ", ".join(ranges)
+            + f", {entry['violations']} violation(s)"
+        )
+    return lines
+
+
+def _figure(value) -> str:
+    return f"{value:+.3g}" if isinstance(value, float) else repr(value)
+
+
 def _cmd_verify(args) -> None:
-    from contextlib import nullcontext
+    from contextlib import ExitStack
 
     from repro.errors import VerificationError
     from repro.verify import (
@@ -1213,45 +1251,23 @@ def _cmd_verify(args) -> None:
         check_envelope=not args.skip_envelope,
         checks=tuple(args.checks) if args.checks else None,
     )
-    injection = (
-        perturbed_standard_cell(args.inject)
-        if args.inject is not None
-        else nullcontext()
-    )
-    # The estimator perturbation trips plan_vs_direct; the backend
-    # perturbation trips backend_equivalence — inject both so every
-    # gate's alarm is exercised.
-    backend_injection = (
-        perturbed_backend(args.inject)
-        if args.inject is not None
-        else nullcontext()
-    )
-    with injection, backend_injection:
+    injected = args.inject is not None
+    with ExitStack() as stack:
+        if injected:
+            # The estimator perturbation trips plan_vs_direct; the
+            # backend perturbation trips backend_equivalence — inject
+            # both so every gate's alarm is exercised.
+            stack.enter_context(perturbed_standard_cell(args.inject))
+            stack.enter_context(perturbed_backend(args.inject))
         report = run_verify(options)
 
     for name, counts in sorted(report.check_counts.items()):
         total = counts["passed"] + counts["failed"]
         marker = "ok " if counts["failed"] == 0 else "FAIL"
         print(f"  {marker} {name}: {counts['passed']}/{total}")
-    for methodology, summary in report.envelope_summary.items():
-        if not summary["cases"]:
-            continue
-        print(
-            f"  envelope[{methodology}]: {summary['cases']} cases, error "
-            f"{summary['min_error']:+.3f}..{summary['max_error']:+.3f} "
-            f"(bounds {summary['bounds']['low']:+.2f}.."
-            f"{summary['bounds']['high']:+.2f}), "
-            f"{summary['violations']} violation(s)"
-        )
-    if report.congestion_summary.get("cases"):
-        summary = report.congestion_summary
-        print(
-            f"  congestion: {summary['cases']} cases, total error "
-            f"{summary['min_total_error']:+.3f}.."
-            f"{summary['max_total_error']:+.3f}, shape error <= "
-            f"{summary['max_shape_error']:.3f}, "
-            f"{summary['violations']} violation(s)"
-        )
+    for record in report.envelopes.values():
+        for line in _describe_envelope(record):
+            print(f"  envelope {line}")
     print(f"gates: " + ", ".join(
         f"{stage}={'pass' if ok else 'FAIL'}"
         for stage, ok in report.gates.items()
@@ -1260,55 +1276,22 @@ def _cmd_verify(args) -> None:
     if args.report is not None:
         path = report.save(args.report)
         print(f"report written to {path}")
-    if args.backend_report is not None:
-        from repro.perf.backends import get_backend
-        from repro.technology import cmos_process, nmos_process
-        from repro.verify import (
-            draw_corpus,
-            measure_backend_envelope,
-            save_backend_envelope,
-        )
-
-        if not get_backend("numpy").available:
+    for flag, kind, path in (
+        ("--backend-report", "backend", args.backend_report),
+        ("--congestion-report", "congestion", args.congestion_report),
+    ):
+        if path is None:
+            continue
+        record = report.envelopes.get(kind)
+        if record is None:
             raise VerificationError(
-                "--backend-report needs the numpy backend "
-                "(pip install repro[perf])"
+                f"{flag}: this sweep measured no {kind} envelope points "
+                "(its check did not run, or — for the backend envelope "
+                "— the numpy backend is unavailable)"
             )
-        envelope = measure_backend_envelope(
-            draw_corpus(args.seeds, args.base_seed),
-            {"standard-cell": cmos_process(),
-             "full-custom": nmos_process()},
-        )
-        save_backend_envelope(envelope, args.backend_report)
-        summary = envelope["summary"]
-        print(
-            f"backend envelope written to {args.backend_report}: "
-            f"{summary['cases']} cases, max spread error "
-            f"{summary['max_spread_error']:.3e}, max mean error "
-            f"{summary['max_mean_error']:.3e}, "
-            f"{summary['violations']} violation(s)"
-        )
-    if args.congestion_report is not None:
-        from repro.technology import cmos_process
-        from repro.verify import (
-            draw_corpus,
-            measure_congestion_envelope,
-            save_congestion_envelope,
-        )
-
-        envelope = measure_congestion_envelope(
-            draw_corpus(args.seeds, args.base_seed), cmos_process()
-        )
-        save_congestion_envelope(envelope, args.congestion_report)
-        summary = envelope["summary"]
-        print(
-            f"congestion envelope written to {args.congestion_report}: "
-            f"{summary['cases']} cases, total error "
-            f"{summary['min_total_error']:+.3f}.."
-            f"{summary['max_total_error']:+.3f}, max shape error "
-            f"{summary['max_shape_error']:.3f}, "
-            f"{summary['violations']} violation(s)"
-        )
+        record.save(path)
+        print(f"{kind} envelope written to {path}: "
+              + "; ".join(_describe_envelope(record)))
     if report.failures:
         records_path = args.records or "VERIFY_failures.json"
         save_records(records_path, report.failures)
@@ -1322,7 +1305,7 @@ def _cmd_verify(args) -> None:
             )
             print(f"  {record.spec.label}: {record.check}{shrunk}")
 
-    if args.inject is not None:
+    if injected:
         if report.passed:
             raise VerificationError(
                 f"injected perturbation x{args.inject} was NOT caught — "
@@ -1386,7 +1369,6 @@ def _cmd_calibrate(args) -> None:
         DEFAULT_SLACK,
         default_envelope_path,
         measure_frontend_envelope,
-        save_frontend_envelope,
     )
 
     record = measure_frontend_envelope(
@@ -1395,17 +1377,17 @@ def _cmd_calibrate(args) -> None:
                     else DEFAULT_PDN_MARGIN),
         slack=args.slack if args.slack is not None else DEFAULT_SLACK,
     )
-    path = args.report or str(default_envelope_path())
-    save_frontend_envelope(record, path)
-    bounds = record["bounds"]
-    print(f"library {record['library']}: fitted correction factor "
-          f"{record['factor']:.6f} over {record['summary']['cases']} "
-          f"golden design(s), pdn margin x{record['pdn_margin']:g}")
-    for case in record["cases"]:
-        print(f"  {case['design']:>16}: {case['devices']:3d} devices, "
-              f"residual {case['residual']:+.4f}")
-    print(f"stated accuracy band: {bounds['low']:+.4f}.."
-          f"{bounds['high']:+.4f} (slack {record['slack']:g})")
+    path = record.save(args.report or default_envelope_path())
+    provenance = record.provenance
+    low, high = record.bounds["standard-cell"]["residual"]
+    print(f"library {provenance['library']}: fitted correction factor "
+          f"{record.summary['factor']:.6f} over {len(record.points)} "
+          f"golden design(s), pdn margin x{provenance['pdn_margin']:g}")
+    for point in record.points:
+        print(f"  {point['label']:>16}: {point['devices']:3d} devices, "
+              f"residual {point['residual']:+.4f}")
+    print(f"stated accuracy band: {low:+.4f}..{high:+.4f} "
+          f"(slack {provenance['slack']:g})")
     print(f"frontend envelope written to {path}")
     print("gate it with: mae verify --skip-envelope "
           "--check frontend_accuracy")

@@ -21,16 +21,12 @@ library-reported chip area (``mae calibrate``), committed as the
 from repro.frontend.blif import parse_blif, parse_blif_library
 from repro.frontend.calibrate import (
     DEFAULT_PDN_MARGIN,
-    FRONTEND_ENVELOPE_SCHEMA_VERSION,
-    FrontendEnvelopePoint,
     fit_correction_factor,
     fixture_blifs,
     fixture_liberty,
     fixtures_root,
-    load_frontend_envelope,
     measure_frontend_envelope,
     reference_area,
-    save_frontend_envelope,
 )
 from repro.frontend.liberty import (
     LibertyCell,
@@ -47,8 +43,6 @@ from repro.frontend.yosys import (
 
 __all__ = [
     "DEFAULT_PDN_MARGIN",
-    "FRONTEND_ENVELOPE_SCHEMA_VERSION",
-    "FrontendEnvelopePoint",
     "LibertyCell",
     "LibertyLibrary",
     "SynthesisResult",
@@ -57,7 +51,6 @@ __all__ = [
     "fixture_blifs",
     "fixture_liberty",
     "fixtures_root",
-    "load_frontend_envelope",
     "measure_frontend_envelope",
     "parse_blif",
     "parse_blif_library",
@@ -66,5 +59,4 @@ __all__ = [
     "read_liberty",
     "reference_area",
     "run_yosys_flow",
-    "save_frontend_envelope",
 ]

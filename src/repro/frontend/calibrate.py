@@ -15,8 +15,9 @@ configurable ``--pdn-margin`` here).
 golden corpus (``tests/fixtures/frontend/``): minimise
 ``sum((ref - f * est)^2)`` giving ``f = sum(est*ref) / sum(est^2)``,
 then records the per-design residual band as the *stated accuracy* of
-the calibrated frontend.  The result is committed as
-``VERIFY_frontend_envelope.json`` and gated by
+the calibrated frontend.  The result is committed as the ``frontend``
+envelope record (:class:`repro.verify.envelope.Envelope`,
+``VERIFY_frontend_envelope.json``) and gated by
 ``mae verify --check frontend_accuracy``: if parser, estimator, or
 fixtures drift so that the refitted factor moves or a residual leaves
 the committed band, the gate fails with a reviewable diff.
@@ -28,19 +29,17 @@ job swaps in real synthesis output for the same pipeline.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import os
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
 
 from repro.core.config import EstimatorConfig
-from repro.errors import FrontendError, VerificationError
+from repro.errors import FrontendError
 from repro.netlist.model import Module
 from repro.technology.process import ProcessDatabase
 
-#: Artifact schema, bumped on shape changes.
-FRONTEND_ENVELOPE_SCHEMA_VERSION = 1
+if TYPE_CHECKING:
+    from repro.verify.envelope import Bounds, Envelope
 
 #: Default power-grid / overhead allowance multiplied onto the Liberty
 #: cell-area sum before fitting (the SNIPPETS ``pdn_margin``).
@@ -149,38 +148,24 @@ def fit_correction_factor(
     return num / den
 
 
-@dataclasses.dataclass(frozen=True)
-class FrontendEnvelopePoint:
-    """One golden design's calibrated residual."""
-
-    design: str
-    devices: int
-    estimated: float             # estimator area (square lambda)
-    reference: float             # Liberty sum * pdn_margin (um^2)
-    residual: float              # factor*estimated/reference - 1
-    within: bool
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
 def measure_frontend_envelope(
     root: Optional[Union[str, Path]] = None,
     process: Optional[ProcessDatabase] = None,
     pdn_margin: float = DEFAULT_PDN_MARGIN,
     slack: float = DEFAULT_SLACK,
-    bounds: Optional[Tuple[float, float]] = None,
-) -> dict:
+    bounds: Optional[Bounds] = None,
+) -> Envelope:
     """Fit the correction factor over the golden corpus and build the
-    envelope record.
+    ``frontend`` envelope record.
 
-    With ``bounds`` (a committed ``(low, high)`` residual band), each
-    case is gated against it; without, the band is *derived* from the
-    measured residuals widened by ``slack`` — the calibration mode
-    that produces the artifact to commit.
+    With ``bounds`` (the committed record's bounds), each case is gated
+    against them; without, the residual band is *derived* from the
+    measured residuals widened by ``slack`` — the calibration mode that
+    produces the artifact to commit.
     """
     from repro.frontend.blif import parse_blif
     from repro.frontend.liberty import read_liberty
+    from repro.verify.envelope import Envelope
 
     if process is None:
         from repro.technology.libraries import cmos_process
@@ -201,71 +186,30 @@ def measure_frontend_envelope(
     factor = fit_correction_factor(
         (estimate, reference) for _, _, estimate, reference in cases
     )
-    residuals = [
-        factor * estimate / reference - 1.0
-        for _, _, estimate, reference in cases
+    points = [
+        {
+            "label": design,
+            "methodology": "standard-cell",
+            "devices": module.device_count,
+            "estimated": estimate,       # estimator area (square lambda)
+            "reference": reference,      # Liberty sum * pdn_margin (um^2)
+            "residual": factor * estimate / reference - 1.0,
+        }
+        for design, module, estimate, reference in cases
     ]
     if bounds is None:
-        low = min(residuals) - slack
-        high = max(residuals) + slack
-    else:
-        low, high = bounds
-    points = [
-        FrontendEnvelopePoint(
-            design=design,
-            devices=module.device_count,
-            estimated=estimate,
-            reference=reference,
-            residual=residual,
-            within=low <= residual <= high,
-        )
-        for (design, module, estimate, reference), residual
-        in zip(cases, residuals)
-    ]
-    return {
-        "schema_version": FRONTEND_ENVELOPE_SCHEMA_VERSION,
-        "benchmark": "frontend_envelope",
-        "library": library.name,
-        "process": process.name,
-        "pdn_margin": pdn_margin,
-        "slack": slack,
-        "factor": factor,
-        "bounds": {"low": low, "high": high},
-        "cases": [point.to_dict() for point in points],
-        "summary": {
-            "cases": len(points),
-            "violations": sum(1 for point in points if not point.within),
-            "min_residual": min(residuals),
-            "max_residual": max(residuals),
+        residuals = [point["residual"] for point in points]
+        bounds = {"standard-cell": {
+            "residual": (min(residuals) - slack, max(residuals) + slack),
+        }}
+    return Envelope.build(
+        "frontend", bounds, points,
+        {
+            "fixtures": [design for design, _, _, _ in cases],
+            "library": library.name,
+            "processes": {"standard-cell": process.name},
+            "pdn_margin": pdn_margin,
+            "slack": slack,
         },
-    }
-
-
-def save_frontend_envelope(record: dict, path: Union[str, Path]) -> None:
-    """Write the artifact (sorted keys, trailing newline — the
-    committed-diff format)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_frontend_envelope(path: Union[str, Path]) -> dict:
-    """Read an envelope artifact back, validating the schema version."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            record = json.load(handle)
-    except OSError as exc:
-        raise VerificationError(
-            f"cannot read frontend envelope {path}: {exc}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise VerificationError(
-            f"frontend envelope {path} is not valid JSON: {exc}"
-        ) from exc
-    if record.get("schema_version") != FRONTEND_ENVELOPE_SCHEMA_VERSION:
-        raise VerificationError(
-            f"frontend envelope {path!r}: schema "
-            f"{record.get('schema_version')!r} != "
-            f"{FRONTEND_ENVELOPE_SCHEMA_VERSION}"
-        )
-    return record
+        factor=factor,
+    )

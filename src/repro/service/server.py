@@ -159,6 +159,12 @@ def _rows_spec(body: dict):
     )
 
 
+#: How often the accept loop checks for :meth:`MAEServer.stop` (the
+#: stdlib default of 0.5 s makes every stop wait out up to half a
+#: second; new connections wake the loop immediately either way).
+POLL_INTERVAL_S = 0.05
+
+
 class MAEServer:
     """One HTTP server bound to one engine.
 
@@ -212,6 +218,7 @@ class MAEServer:
         """Serve on a background thread (tests, load tests)."""
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            kwargs={"poll_interval": POLL_INTERVAL_S},
             name="mae-serve", daemon=True,
         )
         self._thread.start()
@@ -221,7 +228,7 @@ class MAEServer:
         """Serve on the calling thread until :meth:`stop` (or
         Ctrl-C in the CLI handler) — the ``mae serve`` foreground."""
         try:
-            self._httpd.serve_forever()
+            self._httpd.serve_forever(poll_interval=POLL_INTERVAL_S)
         finally:
             self.stop()
 

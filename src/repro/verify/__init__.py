@@ -3,20 +3,21 @@
 The harness closes the loop the paper itself drew — analytic estimates
 checked against independently produced layouts — and extends it with
 the equivalence and metamorphic invariants accumulated by the perf
-work.  See :mod:`repro.verify.runner` for the stage pipeline and
-``mae verify`` for the CLI front door.
+work.  Every gate is one declaration in :data:`~repro.verify.checks.CHECKS`;
+every committed ``VERIFY_*.json`` artifact is one
+:class:`~repro.verify.envelope.Envelope` record.  See
+:mod:`repro.verify.runner` for the stage pipeline and ``mae verify``
+for the CLI front door.
 """
 
 from repro.verify.backend_envelope import (
-    BACKEND_ENVELOPE_SCHEMA_VERSION,
-    BackendEnvelopeBounds,
-    BackendEnvelopePoint,
-    load_backend_envelope,
-    measure_backend_envelope,
+    backend_provenance,
     measure_backend_errors,
-    save_backend_envelope,
 )
 from repro.verify.checks import (
+    CHECKS,
+    Case,
+    Check,
     CheckResult,
     check_area_monotone_in_devices,
     check_backend_equivalence,
@@ -25,6 +26,8 @@ from repro.verify.checks import (
     check_disk_roundtrip,
     check_frontend_accuracy,
     check_incremental_equivalence,
+    check_named,
+    check_portfolio_determinism,
     check_serve_equivalence,
     check_plan_vs_direct,
     check_row_sweep_sanity,
@@ -32,25 +35,23 @@ from repro.verify.checks import (
     check_sharing_factor_monotone,
     check_spread_mode_agreement,
     check_trace_identity,
-    run_module_checks,
 )
 from repro.verify.congestion_envelope import (
-    CONGESTION_ENVELOPE_SCHEMA_VERSION,
-    CongestionEnvelopeBounds,
-    CongestionEnvelopePoint,
-    load_congestion_envelope,
     measure_congestion_case,
-    measure_congestion_envelope,
-    save_congestion_envelope,
     shape_distance,
-    summarize_congestion,
 )
 from repro.verify.corpus import CaseSpec, draw_corpus, family_names
 from repro.verify.envelope import (
-    EnvelopeBounds,
-    EnvelopePoint,
+    AREA_BOUNDS,
+    BACKEND_BOUNDS,
+    CONGESTION_BOUNDS,
+    ENVELOPE_SCHEMA_VERSION,
+    KINDS,
+    Envelope,
+    drift,
+    judge,
+    load_envelope,
     measure_case,
-    summarize,
     verification_schedule,
 )
 from repro.verify.inject import perturbed_backend, perturbed_standard_cell
@@ -61,7 +62,6 @@ from repro.verify.records import (
     save_records,
 )
 from repro.verify.runner import (
-    REPORT_SCHEMA_VERSION,
     VerifyOptions,
     VerifyReport,
     replay_records,
@@ -70,22 +70,23 @@ from repro.verify.runner import (
 from repro.verify.shrink import ShrinkResult, shrink_module, without_devices
 
 __all__ = [
-    "BACKEND_ENVELOPE_SCHEMA_VERSION",
-    "BackendEnvelopeBounds",
-    "BackendEnvelopePoint",
-    "CONGESTION_ENVELOPE_SCHEMA_VERSION",
+    "AREA_BOUNDS",
+    "BACKEND_BOUNDS",
+    "CHECKS",
+    "CONGESTION_BOUNDS",
+    "Case",
     "CaseSpec",
-    "CongestionEnvelopeBounds",
-    "CongestionEnvelopePoint",
+    "Check",
     "CheckResult",
-    "EnvelopeBounds",
-    "EnvelopePoint",
+    "ENVELOPE_SCHEMA_VERSION",
+    "Envelope",
+    "KINDS",
     "RECORD_SCHEMA_VERSION",
-    "REPORT_SCHEMA_VERSION",
     "SeedRecord",
     "ShrinkResult",
     "VerifyOptions",
     "VerifyReport",
+    "backend_provenance",
     "check_area_monotone_in_devices",
     "check_backend_equivalence",
     "check_batch_jobs",
@@ -93,6 +94,8 @@ __all__ = [
     "check_disk_roundtrip",
     "check_frontend_accuracy",
     "check_incremental_equivalence",
+    "check_named",
+    "check_portfolio_determinism",
     "check_serve_equivalence",
     "check_plan_vs_direct",
     "check_row_sweep_sanity",
@@ -101,27 +104,21 @@ __all__ = [
     "check_spread_mode_agreement",
     "check_trace_identity",
     "draw_corpus",
+    "drift",
     "family_names",
-    "load_backend_envelope",
-    "load_congestion_envelope",
+    "judge",
+    "load_envelope",
     "load_records",
-    "measure_backend_envelope",
     "measure_backend_errors",
     "measure_case",
     "measure_congestion_case",
-    "measure_congestion_envelope",
     "perturbed_backend",
     "perturbed_standard_cell",
-    "save_backend_envelope",
-    "save_congestion_envelope",
     "replay_records",
-    "run_module_checks",
     "run_verify",
     "save_records",
     "shape_distance",
     "shrink_module",
-    "summarize",
-    "summarize_congestion",
     "verification_schedule",
     "without_devices",
 ]

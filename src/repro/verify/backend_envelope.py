@@ -1,75 +1,31 @@
-"""Float-backend error envelope: ``numpy`` vs ``exact``, committed.
+"""Float-backend error measurement: ``numpy`` vs ``exact``, raw.
 
 The numpy backend's integer outputs are forced onto the exact
 backend's values by its near-integer guard band — but that guarantee
 only holds while the *raw* float64 error stays far inside the band.
 This module measures that raw error (the pre-rounding Eq. 3
 expectations and Eq. 10 feed-through means, the quantities the guard
-band rounds) over the corpus and gates it against a committed bound,
-so a numerical regression in the vectorized kernels is caught long
-before it could flip an integer.
+band rounds); ``backend_equivalence`` gates it per corpus case against
+the committed ``backend`` envelope bounds, so a numerical regression
+in the vectorized kernels is caught long before it could flip an
+integer.
 
-The measured envelope is persisted as ``VERIFY_backend_envelope.json``
-(``mae verify --check backend_equivalence --backend-report``), the
-float-backend sibling of ``VERIFY_envelope.json``: drift in the
-vectorized arithmetic shows up as a reviewable diff, not a silent
-shift.
+The points that check measures are persisted as
+``VERIFY_backend_envelope.json`` (``mae verify --backend-report``):
+drift in the vectorized arithmetic shows up as a reviewable diff, not
+a silent shift.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from repro.core.config import EstimatorConfig
-from repro.errors import VerificationError
 from repro.netlist.stats import ModuleStatistics
-from repro.technology.process import ProcessDatabase
-from repro.verify.corpus import CaseSpec
-
-#: Artifact schema, bumped on shape changes.
-BACKEND_ENVELOPE_SCHEMA_VERSION = 1
 
 #: Row counts every case is probed at: the small-row regime where the
 #: PMFs are short (and rounding is most consequential) plus a tail into
 #: the paper's typical Table 2 range.
 DEFAULT_PROBE_ROWS: Tuple[int, ...] = (1, 2, 3, 4, 5, 6, 8, 12)
-
-
-@dataclasses.dataclass(frozen=True)
-class BackendEnvelopeBounds:
-    """Committed relative-error gates for the raw float64 kernels.
-
-    Both errors are relative with an absolute floor of 1 (the
-    quantities are expectations ``>= 0``; means can be 0 exactly).
-    The bounds sit ~4 orders of magnitude above the error measured
-    over the calibration corpus (~1e-13) and ~2 below the numpy
-    backend's 1e-7 guard band, so a violation fires while the integer
-    outputs are still provably safe.
-    """
-
-    max_spread_error: float = 1e-9
-    max_mean_error: float = 1e-9
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclasses.dataclass(frozen=True)
-class BackendEnvelopePoint:
-    """One case's worst numpy-vs-exact raw kernel errors."""
-
-    label: str
-    devices: int
-    net_sizes: int               # distinct D values in the histogram
-    spread_error: float          # worst relative E(i) error, all rows
-    mean_error: float            # worst relative feed-through mean error
-    bit_identical: bool          # full estimates matched field-for-field
-    within: bool
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _relative(a: float, b: float) -> float:
@@ -83,7 +39,9 @@ def measure_backend_errors(
 ) -> Tuple[float, float]:
     """Worst relative (spread, feed-through-mean) error of the numpy
     backend against exact over ``rows_set``, on the raw pre-rounding
-    quantities.  Requires NumPy."""
+    quantities.  Both errors are relative with an absolute floor of 1
+    (the quantities are expectations ``>= 0``; means can be 0 exactly).
+    Requires NumPy."""
     from repro.perf.backends import get_backend
 
     exact = get_backend("exact")
@@ -110,119 +68,19 @@ def measure_backend_errors(
     return spread_error, mean_error
 
 
-def measure_backend_point(
-    spec: CaseSpec,
-    process: ProcessDatabase,
-    bounds: BackendEnvelopeBounds,
-    rows_set: Sequence[int] = DEFAULT_PROBE_ROWS,
-    config: Optional[EstimatorConfig] = None,
-) -> BackendEnvelopePoint:
-    """Measure one corpus case: raw kernel errors plus the full
-    estimate bit-identity the guard band is supposed to deliver."""
-    from repro.netlist.stats import scan_module
-    from repro.perf.plan import compile_plan
-
-    config = config or EstimatorConfig()
-    module = spec.build()
-    stats = scan_module(
-        module,
-        device_width=process.device_width,
-        device_height=process.device_height,
-        port_width=config.port_pitch_override or process.port_pitch,
-        power_nets=config.power_nets,
-    )
-    spread_error, mean_error = measure_backend_errors(stats, rows_set)
-    exact_plan = compile_plan(stats, process, config, backend="exact")
-    numpy_plan = compile_plan(stats, process, config, backend="numpy")
-    bit_identical = all(
-        dataclasses.astuple(a) == dataclasses.astuple(b)
-        for a, b in zip(
-            exact_plan.evaluate_rows(rows_set),
-            numpy_plan.evaluate_rows(rows_set),
-        )
-    )
-    return BackendEnvelopePoint(
-        label=spec.label,
-        devices=module.device_count,
-        net_sizes=len(stats.multi_component_nets),
-        spread_error=spread_error,
-        mean_error=mean_error,
-        bit_identical=bit_identical,
-        within=(
-            bit_identical
-            and spread_error <= bounds.max_spread_error
-            and mean_error <= bounds.max_mean_error
-        ),
-    )
-
-
-def measure_backend_envelope(
-    specs: Sequence[CaseSpec],
-    processes: Dict[str, ProcessDatabase],
-    bounds: Optional[BackendEnvelopeBounds] = None,
-    rows_set: Sequence[int] = DEFAULT_PROBE_ROWS,
-) -> dict:
-    """The full envelope record over ``specs`` (standard-cell cases
-    only — the full-custom estimator never touches the row-spread
-    kernels)."""
-    bounds = bounds or BackendEnvelopeBounds()
-    points: List[BackendEnvelopePoint] = []
-    for spec in specs:
-        if spec.methodology != "standard-cell":
-            continue
-        points.append(
-            measure_backend_point(
-                spec, processes[spec.methodology], bounds, rows_set
-            )
-        )
-    if not points:
-        raise VerificationError(
-            "backend envelope: no standard-cell cases in the corpus slice"
-        )
-    return {
-        "schema_version": BACKEND_ENVELOPE_SCHEMA_VERSION,
-        "benchmark": "backend_envelope",
-        "bounds": bounds.to_dict(),
-        "probe_rows": list(rows_set),
-        "guard_band": _guard_band(),
-        "cases": [point.to_dict() for point in points],
-        "summary": {
-            "cases": len(points),
-            "violations": sum(1 for point in points if not point.within),
-            "bit_identical": sum(
-                1 for point in points if point.bit_identical
-            ),
-            "max_spread_error": max(p.spread_error for p in points),
-            "max_mean_error": max(p.mean_error for p in points),
-        },
-    }
-
-
-def _guard_band() -> dict:
+def backend_provenance() -> dict:
+    """What a ``backend`` record was measured with: the float backend,
+    its probe rows, and the guard band its rounding relies on."""
     from repro.perf.backends.numpy64 import (
         NEAR_INTEGER_GUARD,
         ROUND_EPSILON,
     )
 
-    return {"round_epsilon": ROUND_EPSILON, "window": NEAR_INTEGER_GUARD}
-
-
-def save_backend_envelope(record: dict, path: str) -> None:
-    """Write the envelope artifact (sorted keys, trailing newline — the
-    committed-diff format)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_backend_envelope(path: str) -> dict:
-    """Read an envelope artifact back, validating the schema version."""
-    with open(path, "r", encoding="utf-8") as handle:
-        record = json.load(handle)
-    if record.get("schema_version") != BACKEND_ENVELOPE_SCHEMA_VERSION:
-        raise VerificationError(
-            f"backend envelope {path!r}: schema "
-            f"{record.get('schema_version')!r} != "
-            f"{BACKEND_ENVELOPE_SCHEMA_VERSION}"
-        )
-    return record
+    return {
+        "name": "numpy",
+        "probe_rows": list(DEFAULT_PROBE_ROWS),
+        "guard_band": {
+            "round_epsilon": ROUND_EPSILON,
+            "window": NEAR_INTEGER_GUARD,
+        },
+    }

@@ -26,6 +26,13 @@ Two kinds of checks:
 
 Every check returns a :class:`CheckResult`; nothing raises on a
 failed invariant — the runner decides what to shrink and persist.
+
+:data:`CHECKS` is the registry ``mae verify`` reads: one
+:class:`Check` declaration per gate names its stage, the cases it
+applies to, the callable, whether failures shrink, and the envelope
+its points feed.  The runner, ``--check`` validation, shrinking and
+``--replay`` all work from that one table, so adding a gate is one
+declaration.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import os
 import random
 import tempfile
 import zlib
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import EstimatorConfig
 from repro.core.full_custom import estimate_full_custom
@@ -44,8 +51,10 @@ from repro.core.standard_cell import (
     estimate_standard_cell,
     estimate_standard_cell_from_stats,
 )
+from repro.errors import FrontendError, VerificationError
 from repro.incremental.editgen import random_mutation
 from repro.incremental.engine import IncrementalEstimator
+from repro.layout.annealing import AnnealingSchedule
 from repro.netlist.model import Module
 from repro.netlist.stats import scan_module
 from repro.obs.trace import Tracer, use_tracer
@@ -59,6 +68,13 @@ from repro.perf.kernels import (
 )
 from repro.perf.plan import get_plan
 from repro.technology.process import ProcessDatabase
+from repro.verify.backend_envelope import (
+    DEFAULT_PROBE_ROWS,
+    measure_backend_errors,
+)
+from repro.verify.congestion_envelope import measure_congestion_case
+from repro.verify.corpus import CaseSpec
+from repro.verify.envelope import KINDS, Bounds, judge, measure_case
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,9 +84,21 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+    #: The envelope point this result measured, for checks that feed one.
+    point: Optional[Mapping[str, Any]] = None
 
     def __bool__(self) -> bool:
         return self.passed
+
+
+def _judged(name: str, bounds: Bounds, point: Mapping[str, Any],
+            failure: Optional[str] = None) -> CheckResult:
+    """An envelope-feeding check's result: its point judged against
+    ``bounds`` (``failure`` names a divergence found first)."""
+    point, outside = judge(bounds, point)
+    return CheckResult(
+        name, point["within"], failure or "; ".join(outside), point
+    )
 
 
 def _fields(estimate) -> tuple:
@@ -460,27 +488,23 @@ def check_backend_equivalence(
     module: Module,
     process: ProcessDatabase,
     config: Optional[EstimatorConfig] = None,
+    bounds: Optional[Bounds] = None,
 ) -> CheckResult:
     """The ``numpy`` backend agrees with ``exact``: full estimates
     bit-identically (its guard band forces every integer output onto
     the exact values, and every float field derives from those), and
-    the raw pre-rounding kernels within the committed
-    :class:`~repro.verify.backend_envelope.BackendEnvelopeBounds`.
+    the raw pre-rounding kernels within the ``backend`` envelope
+    bounds.  The result carries the case's ``backend`` point.
 
-    Trivially satisfied (with a note) on hosts without NumPy — there is
-    no float backend to diverge.
+    Trivially satisfied (with a note, and no point) on hosts without
+    NumPy — there is no float backend to diverge.
     """
-    from repro.perf.backends import get_backend
-    from repro.verify.backend_envelope import (
-        BackendEnvelopeBounds,
-        DEFAULT_PROBE_ROWS,
-        measure_backend_errors,
-    )
+    from repro.perf.backends import available_backends
 
-    if not get_backend("numpy").available:
+    name = "backend_equivalence"
+    if "numpy" not in available_backends():
         return CheckResult(
-            "backend_equivalence", True,
-            "numpy backend unavailable; exact-only host",
+            name, True, "numpy backend unavailable; exact-only host"
         )
     config = config or EstimatorConfig()
     stats = _scan(module, process, config)
@@ -489,32 +513,26 @@ def check_backend_equivalence(
         rows_set = rows_set + (config.rows,)
     exact_plan = get_plan(stats, process, config, backend="exact")
     numpy_plan = get_plan(stats, process, config, backend="numpy")
-    for rows, reference, measured in zip(
-        rows_set,
-        exact_plan.evaluate_rows(rows_set),
-        numpy_plan.evaluate_rows(rows_set),
-    ):
-        if _fields(reference) != _fields(measured):
-            return CheckResult(
-                "backend_equivalence", False,
-                f"numpy diverges from exact at rows={rows} "
-                f"({_mismatch(reference, measured)})",
-            )
-    bounds = BackendEnvelopeBounds()
+    divergence = next((
+        f"numpy diverges from exact at rows={rows} "
+        f"({_mismatch(reference, measured)})"
+        for rows, reference, measured in zip(
+            rows_set,
+            exact_plan.evaluate_rows(rows_set),
+            numpy_plan.evaluate_rows(rows_set),
+        )
+        if _fields(reference) != _fields(measured)
+    ), None)
     spread_error, mean_error = measure_backend_errors(stats, rows_set)
-    if spread_error > bounds.max_spread_error:
-        return CheckResult(
-            "backend_equivalence", False,
-            f"raw spread expectation error {spread_error:.3e} exceeds "
-            f"envelope bound {bounds.max_spread_error:.0e}",
-        )
-    if mean_error > bounds.max_mean_error:
-        return CheckResult(
-            "backend_equivalence", False,
-            f"raw feed-through mean error {mean_error:.3e} exceeds "
-            f"envelope bound {bounds.max_mean_error:.0e}",
-        )
-    return CheckResult("backend_equivalence", True)
+    return _judged(name, bounds or KINDS["backend"].bounds, {
+        "label": module.name,
+        "methodology": "standard-cell",
+        "devices": module.device_count,
+        "net_sizes": len(stats.multi_component_nets),  # distinct D
+        "spread_error": spread_error,    # worst relative E(i), all rows
+        "mean_error": mean_error,        # worst feed-through mean
+        "bit_identical": divergence is None,
+    }, divergence)
 
 
 def check_serve_equivalence(
@@ -723,9 +741,9 @@ def check_frontend_accuracy(
 ) -> CheckResult:
     """The committed frontend calibration still holds.
 
-    Corpus-independent (it runs once per sweep, like the portfolio
-    gate): refits the per-library correction factor over the committed
-    golden BLIF/Liberty fixtures and compares against the committed
+    Corpus-independent (it runs once per sweep): refits the
+    per-library correction factor over the committed golden BLIF/Liberty
+    fixtures and compares against the committed ``frontend`` record in
     ``VERIFY_frontend_envelope.json`` — the fixture set must match,
     the refitted factor must agree to float precision (the fit is
     deterministic arithmetic over committed inputs), and every
@@ -734,94 +752,184 @@ def check_frontend_accuracy(
     the offending designs named; ``mae calibrate`` re-fits and
     rewrites the artifact when a change is intentional.
     """
-    from repro.errors import FrontendError, VerificationError
     from repro.frontend.calibrate import (
         default_envelope_path,
-        load_frontend_envelope,
         measure_frontend_envelope,
     )
+    from repro.verify.envelope import load_envelope
 
     name = "frontend_accuracy"
-    path = envelope_path or str(default_envelope_path())
     try:
-        committed = load_frontend_envelope(path)
-        fresh = measure_frontend_envelope(
-            pdn_margin=committed["pdn_margin"],
-            bounds=(committed["bounds"]["low"],
-                    committed["bounds"]["high"]),
+        committed = load_envelope(
+            envelope_path or default_envelope_path(), "frontend"
         )
-    except (KeyError, FrontendError, VerificationError) as exc:
+        fresh = measure_frontend_envelope(
+            pdn_margin=committed.provenance["pdn_margin"],
+            bounds=committed.bounds,
+        )
+    except (FrontendError, VerificationError) as exc:
         return CheckResult(
             name, False,
             f"cannot evaluate the committed envelope: {exc} "
             "(run 'mae calibrate' to regenerate it)",
         )
-    committed_designs = [case["design"] for case in committed["cases"]]
-    fresh_designs = [case["design"] for case in fresh["cases"]]
+    committed_designs = committed.provenance["fixtures"]
+    fresh_designs = fresh.provenance["fixtures"]
     if committed_designs != fresh_designs:
         return CheckResult(
             name, False,
             f"fixture set drifted from the committed envelope: "
             f"committed {committed_designs}, on disk {fresh_designs}",
         )
-    factor_drift = abs(fresh["factor"] - committed["factor"])
-    if factor_drift > 1e-9 * max(1.0, abs(committed["factor"])):
+    factor = fresh.summary["factor"]
+    reference = committed.summary["factor"]
+    if abs(factor - reference) > 1e-9 * max(1.0, abs(reference)):
         return CheckResult(
             name, False,
-            f"refitted correction factor {fresh['factor']!r} drifted "
-            f"from the committed {committed['factor']!r}",
+            f"refitted correction factor {factor!r} drifted from the "
+            f"committed {reference!r}",
         )
     violations = [
-        f"{case['design']} (residual {case['residual']:+.4f})"
-        for case in fresh["cases"] if not case["within"]
+        f"{point['label']} (residual {point['residual']:+.4f})"
+        for point in fresh.points if not point["within"]
     ]
     if violations:
-        bounds = committed["bounds"]
         return CheckResult(
             name, False,
             f"residual(s) outside the committed accuracy band "
-            f"[{bounds['low']:+.4f}, {bounds['high']:+.4f}]: "
+            f"{dict(committed.bounds['standard-cell'])}: "
             + ", ".join(violations),
         )
     return CheckResult(name, True)
 
 
-#: Per-module equivalence checks by methodology, for the runner.
-EQUIVALENCE_CHECKS: Tuple[Tuple[str, str, Callable], ...] = (
-    ("plan_vs_direct", "standard-cell", check_plan_vs_direct),
-    ("caches_identity", "*", check_caches_identity),
-    ("trace_identity", "*", check_trace_identity),
-    ("incremental_equivalence", "standard-cell",
-     check_incremental_equivalence),
-    ("backend_equivalence", "standard-cell", check_backend_equivalence),
-    ("serve_equivalence", "standard-cell", check_serve_equivalence),
+# ----------------------------------------------------------------------
+# the registry
+# ----------------------------------------------------------------------
+#: ``Check.applies`` values besides methodology and family names.
+EVERY_CASE = ("*",)
+STANDARD_CELL = ("standard-cell",)
+ONCE_PER_CORPUS = ("corpus",)      # once, over every standard-cell case
+ONCE_PER_SWEEP = ("sweep",)        # once, independent of the corpus
+
+#: Families whose recipes grow prefix-aligned (each planning iteration
+#: consumes a fixed number of rng draws, so the smaller module is a
+#: sub-construction of the larger), and the device-count increment of
+#: their grown twin in the monotonicity check.
+GROWABLE = ("random", "random_nmos")
+GROWTH_STEP = 6
+
+
+@dataclasses.dataclass(frozen=True)
+class Case:
+    """What one registered check runs on: a corpus case plus the
+    sweep's settings."""
+
+    spec: CaseSpec
+    module: Optional[Module]             # None for ONCE_PER_SWEEP
+    process: ProcessDatabase
+    schedule: AnnealingSchedule          # the layout oracles' budget
+    bounds: Bounds                       # the envelope the check feeds
+    modules: Tuple[Module, ...] = ()     # ONCE_PER_CORPUS: all of them
+    jobs: int = 2
+
+
+@dataclasses.dataclass(frozen=True)
+class Check:
+    """One ``mae verify`` gate, declared once in :data:`CHECKS`."""
+
+    name: str
+    stage: str                           # equivalence/metamorphic/envelope
+    #: Methodologies or families it runs on, :data:`EVERY_CASE`,
+    #: :data:`ONCE_PER_CORPUS` or :data:`ONCE_PER_SWEEP`.
+    applies: Tuple[str, ...]
+    run: Callable[[Case], CheckResult]
+    #: Whether a failing module is greedily minimised (a check relating
+    #: two modules or a whole design is recorded unshrunk).
+    shrinks: bool = True
+    #: The envelope kind (:data:`repro.verify.envelope.KINDS`) its
+    #: results' points feed.
+    envelope: Optional[str] = None
+
+    def applies_to(self, spec: CaseSpec) -> bool:
+        return bool({"*", spec.methodology, spec.family} & set(self.applies))
+
+
+def _on_module(check: Callable[..., CheckResult]) -> Callable:
+    """Register a ``check(module, process)``."""
+    return lambda case: check(case.module, case.process)
+
+
+def _area_monotone(case: Case) -> CheckResult:
+    params = dict(case.spec.params)
+    params["gates"] = int(case.spec.param("gates")) + GROWTH_STEP
+    grown = CaseSpec.make(case.spec.family, case.spec.seed, params)
+    return check_area_monotone_in_devices(
+        case.module, grown.build(), case.process, case.spec.methodology
+    )
+
+
+CHECKS: Tuple[Check, ...] = (
+    Check("plan_vs_direct", "equivalence", STANDARD_CELL,
+          _on_module(check_plan_vs_direct)),
+    Check("caches_identity", "equivalence", EVERY_CASE,
+          lambda case: check_caches_identity(
+              case.module, case.process, case.spec.methodology)),
+    Check("trace_identity", "equivalence", EVERY_CASE,
+          lambda case: check_trace_identity(
+              case.module, case.process, case.spec.methodology)),
+    Check("incremental_equivalence", "equivalence", STANDARD_CELL,
+          _on_module(check_incremental_equivalence)),
+    Check("backend_equivalence", "equivalence", STANDARD_CELL,
+          lambda case: check_backend_equivalence(
+              case.module, case.process, bounds=case.bounds),
+          envelope="backend"),
+    Check("serve_equivalence", "equivalence", STANDARD_CELL,
+          _on_module(check_serve_equivalence)),
+    # One pooled batch over every standard-cell module (force_pool
+    # exercises real workers even on one-core hosts).
+    Check("batch_jobs", "equivalence", ONCE_PER_CORPUS,
+          lambda case: check_batch_jobs(
+              case.modules, case.process, jobs=case.jobs)),
+    Check("disk_roundtrip", "equivalence", ONCE_PER_CORPUS,
+          _on_module(check_disk_roundtrip)),
+    Check("portfolio_determinism", "equivalence", ("hier",),
+          lambda case: check_portfolio_determinism(case.spec, case.process),
+          shrinks=False),
+    # Metamorphic checks are standard-cell only (bar the monotonicity
+    # twin): the full-custom estimator has no rows/tracks knobs to relate.
+    Check("shared_within_upper_bound", "metamorphic", STANDARD_CELL,
+          _on_module(check_shared_within_upper_bound)),
+    Check("sharing_factor_monotone", "metamorphic", STANDARD_CELL,
+          _on_module(check_sharing_factor_monotone)),
+    Check("spread_mode_agreement", "metamorphic", STANDARD_CELL,
+          _on_module(check_spread_mode_agreement)),
+    Check("row_sweep_sanity", "metamorphic", STANDARD_CELL,
+          _on_module(check_row_sweep_sanity)),
+    Check("area_monotone_in_devices", "metamorphic", GROWABLE,
+          _area_monotone, shrinks=False),
+    Check("envelope", "envelope", EVERY_CASE,
+          lambda case: _judged("envelope", case.bounds, measure_case(
+              case.spec, case.module, case.process, case.schedule)),
+          envelope="area"),
+    Check("congestion_oracle", "envelope", STANDARD_CELL,
+          lambda case: _judged(
+              "congestion_oracle", case.bounds, measure_congestion_case(
+                  case.spec, case.module, case.process, case.schedule)),
+          envelope="congestion"),
+    Check("frontend_accuracy", "envelope", ONCE_PER_SWEEP,
+          lambda case: check_frontend_accuracy(), shrinks=False),
 )
 
-#: Per-module metamorphic checks (standard-cell only; the full-custom
-#: estimator has no rows/tracks knobs to relate).
-METAMORPHIC_CHECKS: Tuple[Tuple[str, Callable], ...] = (
-    ("shared_within_upper_bound", check_shared_within_upper_bound),
-    ("sharing_factor_monotone", check_sharing_factor_monotone),
-    ("spread_mode_agreement", check_spread_mode_agreement),
-    ("row_sweep_sanity", check_row_sweep_sanity),
-)
+_BY_NAME = {check.name: check for check in CHECKS}
 
 
-def run_module_checks(
-    module: Module,
-    process: ProcessDatabase,
-    methodology: str,
-    config: Optional[EstimatorConfig] = None,
-) -> List[CheckResult]:
-    """All per-module checks that apply to ``methodology``."""
-    results: List[CheckResult] = []
-    for name, scope, check in EQUIVALENCE_CHECKS:
-        if scope in ("*", methodology):
-            if scope == "*":
-                results.append(check(module, process, methodology, config))
-            else:
-                results.append(check(module, process, config))
-    if methodology == "standard-cell":
-        for _, check in METAMORPHIC_CHECKS:
-            results.append(check(module, process, config))
-    return results
+def check_named(name: str) -> Check:
+    """The registered check called ``name``; an unknown name raises
+    :class:`~repro.errors.VerificationError`."""
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        raise VerificationError(
+            f"unknown check {name!r} (known: {', '.join(sorted(_BY_NAME))})"
+        ) from None

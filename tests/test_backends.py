@@ -283,23 +283,23 @@ class TestEquivalence:
         pytest.importorskip("numpy")
         from repro.technology.libraries import nmos_process
         from repro.verify import (
-            BackendEnvelopeBounds,
+            check_backend_equivalence,
             draw_corpus,
             family_names,
-            measure_backend_envelope,
         )
 
         clear_kernel_caches()
-        specs = draw_corpus(len(family_names()), base_seed=7)
-        record = measure_backend_envelope(
-            specs,
-            {"standard-cell": nmos_process()},
-            BackendEnvelopeBounds(),
-            rows_set=(1, 2, 3, 5, 8),
-        )
-        assert record["summary"]["violations"] == 0
-        assert record["summary"]["bit_identical"] == \
-            record["summary"]["cases"]
+        process = nmos_process()
+        results = [
+            check_backend_equivalence(spec.build(), process)
+            for spec in draw_corpus(len(family_names()), base_seed=7)
+            if spec.methodology == "standard-cell"
+        ]
+        assert results
+        for result in results:
+            assert result.passed, result.detail
+            assert result.point["bit_identical"]
+            assert result.point["within"]
 
     def test_large_net_sizes_stay_identical(self):
         """Net sizes near the exact kernels' big-int-to-float ceiling —

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
+from repro.verify.envelope import load_envelope
 
 
 class TestVerifyCommand:
@@ -20,10 +23,10 @@ class TestVerifyCommand:
             "verify", "--seeds", "6", "--report", str(report),
         ]) == 0
         out = capsys.readouterr().out
-        assert "envelope[standard-cell]" in out
+        assert "envelope area[standard-cell]" in out
         data = json.loads(report.read_text())
         assert data["passed"] is True
-        assert len(data["envelope"]["points"]) == 6
+        assert len(data["envelopes"]["area"]["points"]) == 6
 
     def test_injection_caught_with_records(self, tmp_path, capsys):
         records = tmp_path / "seeds.json"
@@ -106,3 +109,43 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "incremental_equivalence" in out
         assert "plan_vs_direct" in out
+
+    def test_unknown_check_is_a_usage_error(self, capsys):
+        """A misspelled gate must not pass vacuously."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "verify", "--seeds", "3", "--skip-envelope",
+                "--check", "incremental_equivalnce",
+            ])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown check 'incremental_equivalnce'" in err
+
+    def test_reports_write_the_points_the_sweep_measured(
+        self, tmp_path, capsys
+    ):
+        pytest.importorskip("numpy")
+        report = tmp_path / "report.json"
+        backend = tmp_path / "backend.json"
+        congestion = tmp_path / "congestion.json"
+        assert main([
+            "verify", "--seeds", "4", "--skip-envelope",
+            "--check", "congestion_oracle",
+            "--check", "backend_equivalence",
+            "--report", str(report),
+            "--backend-report", str(backend),
+            "--congestion-report", str(congestion),
+        ]) == 0
+        assert "congestion envelope written" in capsys.readouterr().out
+        for path, kind in ((backend, "backend"),
+                           (congestion, "congestion")):
+            assert load_envelope(path, kind) == load_envelope(report, kind)
+
+    def test_report_flag_needs_its_check(self, tmp_path, capsys):
+        assert main([
+            "verify", "--seeds", "3", "--skip-envelope",
+            "--congestion-report", str(tmp_path / "c.json"),
+        ]) == 1
+        assert "measured no congestion envelope points" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()

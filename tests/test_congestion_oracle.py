@@ -5,13 +5,14 @@ composes them: pinned regressions for the routers the oracle trusts
 (left-edge channel router, global trunk assignment), the per-case
 measurement (predicted per-channel demand vs routed per-channel track
 usage), and the verify-runner integration — failing cases shrink to
-seed records that replay, and the committed envelope artifact
-round-trips with its schema gate.
+seed records that replay, and the sweep's ``congestion`` envelope
+record round-trips through the one envelope writer and loader.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,19 +24,19 @@ from repro.layout.routing.channel import ChannelNet, route_channel
 from repro.layout.routing.global_route import global_route
 from repro.layout.standard_cell_flow import layout_standard_cell
 from repro.technology.libraries import nmos_process
+from repro.cli import main
 from repro.verify.congestion_envelope import (
-    CONGESTION_ENVELOPE_SCHEMA_VERSION,
-    CongestionEnvelopeBounds,
-    CongestionEnvelopePoint,
-    load_congestion_envelope,
     measure_congestion_case,
-    measure_congestion_envelope,
-    save_congestion_envelope,
     shape_distance,
-    summarize_congestion,
 )
 from repro.verify.corpus import draw_corpus
-from repro.verify.envelope import verification_schedule
+from repro.verify.envelope import (
+    CONGESTION_BOUNDS,
+    Envelope,
+    judge,
+    load_envelope,
+    verification_schedule,
+)
 from repro.verify.records import load_records, save_records
 from repro.verify.runner import (
     VerifyOptions,
@@ -44,6 +45,13 @@ from repro.verify.runner import (
 )
 
 PROCESS = nmos_process()
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Bands no healthy case can meet.
+IMPOSSIBLE = {"standard-cell": {
+    "total_error": (-0.0001, 0.0001),
+    "shape_error": (0.0, 0.0001),
+}}
 
 
 def standard_cell_specs(count, base_seed=0):
@@ -145,17 +153,15 @@ class TestRoutedFixtureRegression:
 # ----------------------------------------------------------------------
 class TestMeasureCase:
     def test_within_default_bounds_over_corpus_slice(self):
-        bounds = CongestionEnvelopeBounds()
         for spec in standard_cell_specs(6, base_seed=0):
-            point = measure_congestion_case(
-                spec, spec.build(), PROCESS, bounds
-            )
-            assert point.within, (point.label, point.total_error,
-                                  point.shape_error)
-            assert point.rows >= 1
-            assert point.capacity == PROCESS.channel_capacity
-            assert 0.0 <= point.routability <= 1.0
-            assert 0.0 <= point.shape_error <= 1.0
+            point, outside = judge(CONGESTION_BOUNDS, measure_congestion_case(
+                spec, spec.build(), PROCESS
+            ))
+            assert point["within"], (point["label"], outside)
+            assert point["rows"] >= 1
+            assert point["capacity"] == PROCESS.channel_capacity
+            assert 0.0 <= point["routability"] <= 1.0
+            assert 0.0 <= point["shape_error"] <= 1.0
 
     def test_full_custom_case_rejected(self):
         spec = next(
@@ -163,26 +169,21 @@ class TestMeasureCase:
             if s.methodology == "full-custom"
         )
         with pytest.raises(VerificationError, match="standard-cell"):
-            measure_congestion_case(
-                spec, spec.build(), PROCESS, CongestionEnvelopeBounds()
-            )
+            measure_congestion_case(spec, spec.build(), PROCESS)
 
     def test_deterministic(self):
         spec = standard_cell_specs(8, base_seed=1)[0]
-        bounds = CongestionEnvelopeBounds()
-        a = measure_congestion_case(spec, spec.build(), PROCESS, bounds)
-        b = measure_congestion_case(spec, spec.build(), PROCESS, bounds)
+        a = measure_congestion_case(spec, spec.build(), PROCESS)
+        b = measure_congestion_case(spec, spec.build(), PROCESS)
         assert a == b
 
     def test_bounds_decide_within(self):
         spec = standard_cell_specs(8, base_seed=0)[0]
-        impossible = CongestionEnvelopeBounds(
-            total_low=-0.0001, total_high=0.0001, shape_max=0.0001
-        )
-        point = measure_congestion_case(
-            spec, spec.build(), PROCESS, impossible
-        )
-        assert not point.within
+        point, outside = judge(IMPOSSIBLE, measure_congestion_case(
+            spec, spec.build(), PROCESS
+        ))
+        assert not point["within"]
+        assert outside
 
     def test_shape_distance_properties(self):
         assert shape_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
@@ -200,54 +201,61 @@ class TestMeasureCase:
 # ----------------------------------------------------------------------
 class TestEnvelopeArtifact:
     def test_round_trip(self, tmp_path):
-        record = measure_congestion_envelope(
-            draw_corpus(4, base_seed=0), PROCESS
-        )
-        assert record["schema_version"] == \
-            CONGESTION_ENVELOPE_SCHEMA_VERSION
-        assert record["summary"]["violations"] == 0
-        path = tmp_path / "congestion.json"
-        save_congestion_envelope(record, str(path))
-        assert load_congestion_envelope(str(path)) == record
+        record = run_verify(VerifyOptions(
+            seeds=4, checks=("congestion_oracle",),
+        )).envelopes["congestion"]
+        assert record.summary["standard-cell"]["violations"] == 0
+        path = record.save(tmp_path / "congestion.json")
+        assert load_envelope(path, "congestion") == record
         # Committed-diff format: sorted keys, trailing newline.
         text = path.read_text()
         assert text.endswith("\n")
-        assert json.loads(text) == record
+        assert json.loads(text) == record.to_dict()
 
     def test_wrong_schema_rejected(self, tmp_path):
+        data = load_envelope(
+            REPO_ROOT / "VERIFY_congestion_envelope.json", "congestion"
+        ).to_dict()
+        data["schema_version"] = 999
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema_version": 999}))
+        path.write_text(json.dumps(data))
         with pytest.raises(VerificationError, match="schema"):
-            load_congestion_envelope(str(path))
+            load_envelope(path, "congestion")
 
-    def test_no_standard_cell_cases_rejected(self):
+    def test_no_standard_cell_cases_rejected(self, tmp_path, monkeypatch,
+                                              capsys):
         full_custom = [
             spec for spec in draw_corpus(12, base_seed=0)
             if spec.methodology == "full-custom"
         ]
-        with pytest.raises(VerificationError, match="no standard-cell"):
-            measure_congestion_envelope(full_custom, PROCESS)
+        monkeypatch.setattr(
+            "repro.verify.runner.draw_corpus",
+            lambda count, base_seed=0: full_custom,
+        )
+        assert main([
+            "verify", "--seeds", "4", "--check", "congestion_oracle",
+            "--congestion-report", str(tmp_path / "c.json"),
+        ]) == 1
+        assert "measured no congestion envelope points" in \
+            capsys.readouterr().err
 
     def test_summary_aggregates(self):
-        bounds = CongestionEnvelopeBounds()
+        common = dict(methodology="standard-cell", family="f", devices=4,
+                      rows=2, capacity=8, routed_total=3)
         points = [
-            CongestionEnvelopePoint(
-                label="x", family="f", devices=4, rows=2, capacity=8,
-                predicted_total=6.0, routed_total=3, total_error=1.0,
-                shape_error=0.1, routability=0.9, within=True,
-            ),
-            CongestionEnvelopePoint(
-                label="y", family="f", devices=4, rows=2, capacity=8,
-                predicted_total=9.0, routed_total=3, total_error=2.0,
-                shape_error=0.3, routability=0.8, within=False,
-            ),
+            dict(common, label="x", predicted_total=6.0, total_error=1.0,
+                 shape_error=0.1, routability=0.9),
+            dict(common, label="y", predicted_total=9.0, total_error=2.0,
+                 shape_error=0.5, routability=0.8),
         ]
-        summary = summarize_congestion(points, bounds)
+        record = Envelope.build("congestion", CONGESTION_BOUNDS, points, {})
+        summary = record.summary["standard-cell"]
         assert summary["cases"] == 2
         assert summary["violations"] == 1
-        assert summary["min_total_error"] == 1.0
-        assert summary["max_total_error"] == 2.0
-        assert summary["max_shape_error"] == 0.3
+        assert summary["total_error"]["min"] == 1.0
+        assert summary["total_error"]["max"] == 2.0
+        assert summary["shape_error"]["max"] == 0.5
+        assert [p["within"] for p in record.points] == [True, False]
 
 
 # ----------------------------------------------------------------------
@@ -260,27 +268,22 @@ class TestRunnerIntegration:
             checks=("congestion_oracle",),
         ))
         assert report.passed
-        assert report.congestion_summary["cases"] >= 1
-        assert report.congestion_summary["violations"] == 0
-        data = report.to_dict()
-        assert data["congestion"]["summary"]["cases"] >= 1
-        assert len(data["congestion"]["points"]) == \
-            data["congestion"]["summary"]["cases"]
+        summary = report.envelopes["congestion"].summary["standard-cell"]
+        assert summary["cases"] >= 1
+        assert summary["violations"] == 0
+        data = report.to_dict()["envelopes"]["congestion"]
+        assert len(data["points"]) == summary["cases"]
 
     def test_skip_envelope_skips_congestion(self):
         report = run_verify(VerifyOptions(seeds=6,
                                           check_envelope=False))
-        assert report.congestion_summary["cases"] == 0
-        assert report.congestion_points == []
+        assert "congestion" not in report.envelopes
 
     def test_violation_shrinks_to_replayable_record(self, tmp_path):
-        impossible = CongestionEnvelopeBounds(
-            total_low=-0.0001, total_high=0.0001, shape_max=0.0001
-        )
         report = run_verify(VerifyOptions(
             seeds=6, check_envelope=False,
             checks=("congestion_oracle",),
-            congestion_bounds=impossible,
+            bounds={"congestion": IMPOSSIBLE},
         ))
         assert not report.passed
         records = [

@@ -8,6 +8,8 @@ Cheap invariants that rot silently otherwise:
   is mentioned in the README;
 * ``docs/SERVICE.md``'s endpoint list matches the server's ``ROUTES``
   table exactly — no phantom endpoints, no undocumented ones;
+* ``docs/TESTING.md``'s check table matches the verify registry
+  (``repro.verify.checks.CHECKS``) the same way;
 * every ``--flag`` shown next to a ``mae <subcommand>`` invocation in
   the README or ``docs/*.md`` exists on that subcommand's argparse
   parser (or the global parser).
@@ -98,6 +100,24 @@ def test_service_md_endpoint_list_matches_routes():
         f"docs/SERVICE.md endpoints drifted from ROUTES — "
         f"undocumented: {sorted(routes - documented)}, "
         f"phantom: {sorted(documented - routes)}"
+    )
+
+
+def test_testing_md_check_table_matches_registry():
+    """``docs/TESTING.md`` documents exactly the registered checks, each
+    under its registered stage."""
+    from repro.verify.checks import CHECKS
+
+    text = (REPO_ROOT / "docs" / "TESTING.md").read_text()
+    section = text.split("### The checks", 1)[1].split("\n### ", 1)[0]
+    documented = set(
+        re.findall(r"^\| `([a-z_]+)` \| ([a-z]+) \|", section, re.MULTILINE)
+    )
+    registered = {(check.name, check.stage) for check in CHECKS}
+    assert documented == registered, (
+        f"docs/TESTING.md check table drifted from CHECKS — "
+        f"undocumented: {sorted(registered - documented)}, "
+        f"phantom: {sorted(documented - registered)}"
     )
 
 

@@ -11,6 +11,7 @@ paths are exercised through ``find_yosys`` fallbacks and a canned
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -19,15 +20,12 @@ from repro.cli import main
 from repro.errors import FrontendError, VerificationError
 from repro.frontend.calibrate import (
     DEFAULT_PDN_MARGIN,
-    FRONTEND_ENVELOPE_SCHEMA_VERSION,
     default_envelope_path,
     fit_correction_factor,
     fixture_blifs,
     fixture_liberty,
-    load_frontend_envelope,
     measure_frontend_envelope,
     reference_area,
-    save_frontend_envelope,
 )
 from repro.frontend.liberty import read_liberty
 from repro.frontend.yosys import (
@@ -37,6 +35,10 @@ from repro.frontend.yosys import (
     synthesis_commands,
 )
 from repro.verify.checks import check_frontend_accuracy
+from repro.verify.envelope import load_envelope
+
+#: A band no fixture's residual fits inside.
+NARROW = {"standard-cell": {"residual": (-1e-12, 1e-12)}}
 
 
 class TestFit:
@@ -74,23 +76,21 @@ class TestFit:
 class TestMeasure:
     def test_calibration_mode_derives_band(self):
         record = measure_frontend_envelope(slack=0.01)
-        assert record["schema_version"] == \
-            FRONTEND_ENVELOPE_SCHEMA_VERSION
-        assert record["summary"]["cases"] == len(fixture_blifs())
-        assert record["summary"]["violations"] == 0
-        summary = record["summary"]
-        assert record["bounds"]["low"] == \
-            pytest.approx(summary["min_residual"] - 0.01)
-        assert record["bounds"]["high"] == \
-            pytest.approx(summary["max_residual"] + 0.01)
-        for case in record["cases"]:
-            assert case["within"]
-            assert case["estimated"] > 0
-            assert case["reference"] > 0
+        assert record.kind == "frontend"
+        summary = record.summary["standard-cell"]
+        assert summary["cases"] == len(fixture_blifs())
+        assert summary["violations"] == 0
+        low, high = record.bounds["standard-cell"]["residual"]
+        assert low == pytest.approx(summary["residual"]["min"] - 0.01)
+        assert high == pytest.approx(summary["residual"]["max"] + 0.01)
+        for point in record.points:
+            assert point["within"]
+            assert point["estimated"] > 0
+            assert point["reference"] > 0
 
     def test_gating_mode_uses_committed_bounds(self):
-        record = measure_frontend_envelope(bounds=(-1e-12, 1e-12))
-        assert record["summary"]["violations"] > 0
+        record = measure_frontend_envelope(bounds=NARROW)
+        assert record.summary["standard-cell"]["violations"] > 0
 
     def test_margin_scales_reference_not_residuals(self):
         """Doubling the PDN margin halves the fitted factor but leaves
@@ -99,8 +99,9 @@ class TestMeasure:
         doubled = measure_frontend_envelope(
             pdn_margin=2 * DEFAULT_PDN_MARGIN
         )
-        assert doubled["factor"] == pytest.approx(2 * base["factor"])
-        for a, b in zip(base["cases"], doubled["cases"]):
+        assert doubled.summary["factor"] == \
+            pytest.approx(2 * base.summary["factor"])
+        for a, b in zip(base.points, doubled.points):
             assert a["residual"] == pytest.approx(b["residual"])
 
     def test_negative_slack_rejected(self):
@@ -111,72 +112,53 @@ class TestMeasure:
 class TestArtifact:
     def test_round_trip(self, tmp_path):
         record = measure_frontend_envelope()
-        path = tmp_path / "envelope.json"
-        save_frontend_envelope(record, path)
-        assert load_frontend_envelope(path) == record
+        path = record.save(tmp_path / "envelope.json")
+        assert load_envelope(path, "frontend") == record
         text = path.read_text()
         assert text.endswith("\n")
-        assert json.loads(text) == record
+        assert json.loads(text) == record.to_dict()
 
     def test_wrong_schema_rejected(self, tmp_path):
+        data = load_envelope(default_envelope_path(), "frontend").to_dict()
+        data["schema_version"] = 999
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema_version": 999}))
+        path.write_text(json.dumps(data))
         with pytest.raises(VerificationError, match="schema"):
-            load_frontend_envelope(path)
-
-    def test_malformed_json_rejected(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(VerificationError, match="JSON"):
-            load_frontend_envelope(path)
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(VerificationError, match="cannot read"):
-            load_frontend_envelope(tmp_path / "absent.json")
-
-    def test_committed_artifact_is_current(self):
-        """The repo's VERIFY_frontend_envelope.json matches what
-        `mae calibrate` would write today."""
-        committed = load_frontend_envelope(default_envelope_path())
-        fresh = measure_frontend_envelope(
-            pdn_margin=committed["pdn_margin"],
-            slack=committed["slack"],
-        )
-        assert fresh == committed
+            load_envelope(path, "frontend")
 
 
 class TestFrontendAccuracyCheck:
+    @staticmethod
+    def committed():
+        return load_envelope(default_envelope_path(), "frontend")
+
     def test_passes_against_committed_envelope(self):
         result = check_frontend_accuracy()
         assert result.passed, result.detail
 
     def test_fails_on_factor_drift(self, tmp_path):
-        record = load_frontend_envelope(default_envelope_path())
-        record = dict(record, factor=record["factor"] * 1.01)
-        path = tmp_path / "drifted.json"
-        save_frontend_envelope(record, path)
+        record = self.committed()
+        drifted = dataclasses.replace(record, summary=dict(
+            record.summary, factor=record.summary["factor"] * 1.01
+        ))
+        path = drifted.save(tmp_path / "drifted.json")
         result = check_frontend_accuracy(str(path))
         assert not result.passed
         assert "factor" in result.detail
 
     def test_fails_on_narrowed_band(self, tmp_path):
-        record = json.loads(
-            json.dumps(load_frontend_envelope(default_envelope_path()))
-        )
-        record["bounds"] = {"low": -1e-12, "high": 1e-12}
-        path = tmp_path / "narrow.json"
-        save_frontend_envelope(record, path)
+        narrow = dataclasses.replace(self.committed(), bounds=NARROW)
+        path = narrow.save(tmp_path / "narrow.json")
         result = check_frontend_accuracy(str(path))
         assert not result.passed
         assert "accuracy band" in result.detail
 
     def test_fails_on_fixture_set_drift(self, tmp_path):
-        record = json.loads(
-            json.dumps(load_frontend_envelope(default_envelope_path()))
-        )
-        record["cases"] = record["cases"][:-1]
-        path = tmp_path / "short.json"
-        save_frontend_envelope(record, path)
+        record = self.committed()
+        short = dataclasses.replace(record, provenance=dict(
+            record.provenance, fixtures=record.provenance["fixtures"][:-1]
+        ))
+        path = short.save(tmp_path / "short.json")
         result = check_frontend_accuracy(str(path))
         assert not result.passed
         assert "fixture set" in result.detail
@@ -184,6 +166,16 @@ class TestFrontendAccuracyCheck:
     def test_missing_artifact_is_actionable(self, tmp_path):
         result = check_frontend_accuracy(str(tmp_path / "none.json"))
         assert not result.passed
+        assert "mae calibrate" in result.detail
+
+    def test_missing_field_is_actionable(self, tmp_path):
+        data = self.committed().to_dict()
+        del data["provenance"]["pdn_margin"]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(data))
+        result = check_frontend_accuracy(str(path))
+        assert not result.passed
+        assert "pdn_margin" in result.detail
         assert "mae calibrate" in result.detail
 
 
@@ -196,8 +188,8 @@ class TestCalibrateCommand:
         assert "stated accuracy band" in out
         assert "mae verify --skip-envelope --check frontend_accuracy" \
             in out
-        record = load_frontend_envelope(report)
-        assert record["summary"]["violations"] == 0
+        record = load_envelope(report, "frontend")
+        assert record.summary["standard-cell"]["violations"] == 0
 
     def test_custom_margin_and_slack(self, tmp_path):
         report = tmp_path / "envelope.json"
@@ -205,9 +197,9 @@ class TestCalibrateCommand:
             "calibrate", "--report", str(report),
             "--pdn-margin", "2.0", "--slack", "0.1",
         ]) == 0
-        record = load_frontend_envelope(report)
-        assert record["pdn_margin"] == 2.0
-        assert record["slack"] == 0.1
+        record = load_envelope(report, "frontend")
+        assert record.provenance["pdn_margin"] == 2.0
+        assert record.provenance["slack"] == 0.1
 
     def test_bad_fixture_dir_is_typed_error(self, tmp_path, capsys):
         assert main([

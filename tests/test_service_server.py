@@ -349,6 +349,16 @@ class TestShutdownEndpoint:
         with pytest.raises(ServiceClosedError):
             server.engine.estimate(sid)
 
+    def test_stop_does_not_wait_out_the_accept_poll(self):
+        """Start-to-stopped is well under the stdlib's 0.5 s
+        ``serve_forever`` poll (best of three, against host noise)."""
+        elapsed = []
+        for _ in range(3):
+            started = time.perf_counter()
+            start_server(EstimationEngine(ServiceConfig())).stop()
+            elapsed.append(time.perf_counter() - started)
+        assert min(elapsed) < 0.25, elapsed
+
 
 class TestWireCodec:
     def test_standard_cell_round_trip(self, module, nmos):

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import EstimationError
 from repro.verify.checks import (
     check_area_monotone_in_devices,
+    check_backend_equivalence,
     check_batch_jobs,
     check_caches_identity,
     check_disk_roundtrip,
@@ -17,12 +18,28 @@ from repro.verify.checks import (
     check_sharing_factor_monotone,
     check_spread_mode_agreement,
     check_trace_identity,
-    run_module_checks,
 )
+from repro.verify.checks import CHECKS, EVERY_CASE, Case
 from repro.verify.corpus import CaseSpec
+from repro.verify.envelope import verification_schedule
 from repro.verify.inject import perturbed_standard_cell
 from repro.verify.shrink import ShrinkResult, shrink_module, without_devices
 from repro.workloads.generators import random_gate_module
+
+
+def registered_checks(module, process, methodology):
+    """Every registered per-module check that applies to
+    ``methodology``, run on ``module``."""
+    family = "random" if methodology == "standard-cell" else "random_nmos"
+    case = Case(
+        CaseSpec.make(family, 0, {}), module, process,
+        verification_schedule(), {}, (module,),
+    )
+    return [
+        check.run(case) for check in CHECKS
+        if check.stage != "envelope"
+        and check.applies in (EVERY_CASE, (methodology,))
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +49,11 @@ def module():
 
 class TestEquivalenceChecks:
     def test_all_pass_on_healthy_estimator(self, module, cmos):
-        for result in run_module_checks(module, cmos, "standard-cell"):
+        for result in registered_checks(module, cmos, "standard-cell"):
             assert result.passed, f"{result.name}: {result.detail}"
 
     def test_full_custom_scope(self, transistor_module, nmos):
-        results = run_module_checks(transistor_module, nmos, "full-custom")
+        results = registered_checks(transistor_module, nmos, "full-custom")
         names = {result.name for result in results}
         # No plan / row knobs at transistor level.
         assert "plan_vs_direct" not in names
@@ -67,7 +84,7 @@ class TestEquivalenceChecks:
     def test_incremental_equivalence_excluded_at_transistor_level(
         self, transistor_module, nmos
     ):
-        results = run_module_checks(transistor_module, nmos, "full-custom")
+        results = registered_checks(transistor_module, nmos, "full-custom")
         assert "incremental_equivalence" not in {
             r.name for r in results
         }
@@ -93,6 +110,17 @@ class TestEquivalenceChecks:
         result = check_incremental_equivalence(module, cmos)
         assert not result.passed
         assert "step 0" in result.detail
+
+    def test_backend_equivalence_on_numpy_less_host(
+        self, module, cmos, monkeypatch
+    ):
+        """No float backend to diverge: the check passes with a note and
+        measures no envelope point (rather than raising)."""
+        monkeypatch.setattr("repro.perf.backends.numpy64._np", None)
+        result = check_backend_equivalence(module, cmos)
+        assert result.passed
+        assert result.point is None
+        assert "unavailable" in result.detail
 
     def test_caches_and_trace_survive_injection(self, module, cmos):
         # The injected fault perturbs *consistently*, so identity checks

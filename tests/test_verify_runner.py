@@ -7,13 +7,22 @@ module, and persisted as a seed record that replays.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
 from repro.errors import VerificationError
 from repro.obs.trace import Tracer, use_tracer
-from repro.verify.envelope import EnvelopeBounds
+from repro.verify.checks import (
+    CHECKS,
+    ONCE_PER_CORPUS,
+    ONCE_PER_SWEEP,
+    check_named,
+)
+from repro.verify.corpus import draw_corpus
+from repro.verify.envelope import AREA_BOUNDS, ENVELOPE_SCHEMA_VERSION
 from repro.verify.inject import perturbed_standard_cell
 from repro.verify.records import (
     RECORD_SCHEMA_VERSION,
@@ -42,7 +51,7 @@ class TestHealthySweep:
     def test_envelope_sweep(self):
         report = run_verify(VerifyOptions(seeds=6))
         assert report.passed
-        summary = report.envelope_summary
+        summary = report.envelopes["area"].summary
         cases = sum(entry["cases"] for entry in summary.values())
         assert cases == 6
         assert all(
@@ -59,9 +68,9 @@ class TestHealthySweep:
         path = report.save(tmp_path / "VERIFY_envelope.json")
         data = json.loads(path.read_text())
         assert data["passed"] is True
-        assert data["schema_version"] == 1
+        assert data["schema_version"] == ENVELOPE_SCHEMA_VERSION
         assert len(data["cases"]) == 6
-        assert len(data["envelope"]["points"]) == 6
+        assert len(data["envelopes"]["area"]["points"]) == 6
         assert data["gates"] == {
             "equivalence": True, "metamorphic": True, "envelope": True
         }
@@ -111,8 +120,10 @@ class TestInjectionIsCaught:
         assert all(result.passed for _, result in replayed)
 
     def test_tiny_envelope_violation_caught(self):
-        bounds = EnvelopeBounds(sc_low=-0.0001, sc_high=0.0001)
-        report = run_verify(VerifyOptions(seeds=6, bounds=bounds))
+        bounds = dict(AREA_BOUNDS)
+        bounds["standard-cell"] = {"error": (-0.0001, 0.0001)}
+        report = run_verify(VerifyOptions(seeds=6,
+                                          bounds={"area": bounds}))
         assert not report.gates["envelope"]
         assert any(
             record.check == "envelope" for record in report.failures
@@ -180,7 +191,90 @@ class TestCheckFilter:
 
     def test_wants_defaults_to_all(self):
         options = VerifyOptions(seeds=1)
-        assert options.wants("anything")
+        assert options.wants(check_named("batch_jobs"))
+        assert options.wants(check_named("envelope"))
         filtered = VerifyOptions(seeds=1, checks=("plan_vs_direct",))
-        assert filtered.wants("plan_vs_direct")
-        assert not filtered.wants("batch_jobs")
+        assert filtered.wants(check_named("plan_vs_direct"))
+        assert not filtered.wants(check_named("batch_jobs"))
+
+    def test_skip_envelope_drops_only_envelope_checks(self):
+        options = VerifyOptions(seeds=1, check_envelope=False)
+        assert options.wants(check_named("plan_vs_direct"))
+        assert not options.wants(check_named("envelope"))
+        assert not options.wants(check_named("frontend_accuracy"))
+        # A named check always runs.
+        named = VerifyOptions(seeds=1, check_envelope=False,
+                              checks=("frontend_accuracy",))
+        assert named.wants(check_named("frontend_accuracy"))
+
+    def test_named_envelope_check_runs_alone(self):
+        """Without --skip-envelope, --check X runs only X: the area
+        envelope no longer rides along."""
+        report = run_verify(VerifyOptions(
+            seeds=4, checks=("caches_identity",),
+        ))
+        assert set(report.check_counts) == {"caches_identity"}
+        assert report.envelopes == {}
+
+    def test_unknown_check_name_raises(self):
+        with pytest.raises(VerificationError,
+                           match="unknown check 'incremental_equivalnce'"):
+            run_verify(VerifyOptions(
+                seeds=3, check_envelope=False,
+                checks=("incremental_equivalnce",),
+            ))
+
+
+class TestRegistryCalls:
+    """Every call goes through the registry, so counting there counts
+    every check execution of a sweep."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        import repro.verify.runner as runner_module
+
+        calls = []
+
+        def counted(check):
+            def run(case):
+                calls.append((check.name, case.spec.label))
+                return check.run(case)
+
+            return dataclasses.replace(check, run=run)
+
+        monkeypatch.setattr(
+            runner_module, "CHECKS", tuple(counted(c) for c in CHECKS)
+        )
+        return calls
+
+    def test_each_applicable_check_runs_once_per_case(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        report = run_verify(VerifyOptions(seeds=8, check_envelope=False))
+        assert report.passed
+        assert len(calls) == len(set(calls)), Counter(calls).most_common(3)
+        specs = draw_corpus(8)
+        expected = {}
+        for check in CHECKS:
+            if check.stage == "envelope":
+                continue
+            if check.applies == ONCE_PER_CORPUS:
+                expected[check.name] = 1
+            else:
+                assert check.applies != ONCE_PER_SWEEP
+                expected[check.name] = sum(
+                    1 for spec in specs if check.applies_to(spec)
+                )
+        expected = {name: n for name, n in expected.items() if n}
+        assert Counter(name for name, _ in calls) == expected
+        assert {
+            name: counts["passed"] + counts["failed"]
+            for name, counts in report.check_counts.items()
+        } == expected
+
+    def test_frontend_filter_runs_no_module_check(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        report = run_verify(VerifyOptions(
+            seeds=8, check_envelope=False, checks=("frontend_accuracy",),
+        ))
+        assert report.passed
+        assert [name for name, _ in calls] == ["frontend_accuracy"]
