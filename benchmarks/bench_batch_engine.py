@@ -20,7 +20,7 @@ from repro.perf.bench import (
 
 @pytest.fixture(scope="module")
 def bench_record(report):
-    record = run_bench(jobs=2, module_count=16)
+    record = run_bench(module_count=16)
     report(format_bench_record(record))
     return record
 

@@ -41,19 +41,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         from repro.perf.backends import apply_cli_backend
-        from repro.perf.diskcache import persistent_kernel_caches
 
         # Resolve --backend / $MAE_BACKEND once, up front: every
-        # estimator call in the command (and every pool worker it
-        # starts) inherits the selection.  An explicitly named but
-        # unavailable backend fails here with a clean error.
+        # estimator call in the command inherits the selection.  An
+        # explicitly named but unavailable backend fails here with a
+        # clean error.
         apply_cli_backend(getattr(args, "backend", None))
-
-        # Opt-in cross-process warm start: load the kernel caches before
-        # the command runs and save them back after it succeeds, so
-        # repeated CLI invocations skip the shared combinatorial work.
-        with persistent_kernel_caches(getattr(args, "kernel_cache", None)):
-            args.handler(args)
+        args.handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -72,12 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mae",
         description="Module Area Estimator for VLSI layout "
                     "(Chen & Bushnell, DAC 1988 reproduction)",
-    )
-    parser.add_argument(
-        "--kernel-cache", default=None, metavar="FILE",
-        help="persist the probability-kernel caches to FILE across runs "
-             "(loaded before the command, saved after; $MAE_KERNEL_CACHE "
-             "sets a default)",
     )
     from repro.perf.backends import BACKEND_CHOICES
 
@@ -213,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         command = sub.add_parser(name, help=help_text)
         command.set_defaults(handler=handler)
-        if name in ("table1", "table2"):
-            _add_jobs_argument(command)
         if name == "runtime":
             command.add_argument(
                 "--trace", default=None, metavar="FILE",
@@ -228,55 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="sharing = A1 track sharing; rows = A3 row sweep; "
              "oracle = oracle-quality study",
     )
-    _add_jobs_argument(ablation)
     ablation.set_defaults(handler=_cmd_ablation)
+
+    from repro.perf.bench import add_bench_arguments, run_bench_command
 
     bench = sub.add_parser(
         "bench",
         help="run the batch-engine perf benchmark and write BENCH_*.json",
     )
-    _add_jobs_argument(bench)
-    bench.set_defaults(jobs=4)  # the parallel phase is the point here
-    bench.add_argument("--smoke", action="store_true",
-                       help="tiny run for CI: validates the harness and "
-                            "the emitted record, no timing claims")
-    bench.add_argument("--output", default=None,
-                       help="destination JSON file "
-                            "(default: BENCH_batch_engine.json)")
-    bench.add_argument("--assert-plan-speedup", type=float, default=None,
-                       metavar="X",
-                       help="fail unless the compiled-plan path is at "
-                            "least X times the batch jobs=1 path")
-    bench.add_argument("--assert-backend-speedup", type=float, default=None,
-                       metavar="X",
-                       help="fail unless the numpy backend's batched "
-                            "row-sweep kernel phase is at least X times "
-                            "faster than exact (CI gate)")
-    bench.add_argument("--assert-incremental-speedup", type=float,
-                       default=None, metavar="X",
-                       help="fail unless the incremental ECO path is at "
-                            "least X times rebuild-per-edit")
-    bench.add_argument("--assert-serve-throughput", type=float,
-                       default=None, metavar="EPS",
-                       help="fail unless the serve phase sustains at "
-                            "least EPS estimates/sec across its "
-                            "concurrent sessions")
-    bench.add_argument("--portfolio-modules", type=int, default=None,
-                       metavar="N",
-                       help="design size for the floorplan portfolio "
-                            "phase (default: 48 in --smoke, 1000 "
-                            "otherwise)")
-    bench.add_argument("--assert-portfolio-speedup", type=float,
-                       default=None, metavar="X",
-                       help="fail unless the portfolio floorplan engine "
-                            "is at least X times the serial loop in "
-                            "modules/sec (CI gate)")
-    bench.add_argument("--assert-congestion-overhead", type=float,
-                       default=None, metavar="X",
-                       help="fail if the routability-scored portfolio "
-                            "sweep takes more than X times the unscored "
-                            "sweep's wall time (CI gate; lower is better)")
-    bench.set_defaults(handler=_cmd_bench)
+    add_bench_arguments(bench)
+    bench.set_defaults(handler=run_bench_command)
 
     floorplan = sub.add_parser(
         "floorplan",
@@ -289,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
              "or a Verilog library file",
     )
     _add_process_argument(floorplan)
-    _add_jobs_argument(floorplan)
     floorplan.add_argument(
         "--portfolio", default=None, metavar="CSV",
         help="comma-separated searcher subset "
@@ -375,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-inflight", type=int, default=128, metavar="N",
                        help="concurrently handled HTTP requests before "
                             "the server answers 429 (default: 128)")
-    _add_jobs_argument(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     eco = sub.add_parser(
@@ -451,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "demand envelope congestion_oracle measured "
                              "(VERIFY_congestion_envelope.json format) "
                              "to FILE")
-    _add_jobs_argument(verify)
     verify.set_defaults(handler=_cmd_verify)
 
     synth = sub.add_parser(
@@ -516,15 +460,6 @@ def _add_process_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tech", choices=sorted(builtin_processes()), default="nmos",
         help="fabrication process database (default: nmos)",
-    )
-
-
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan estimation tasks across N worker processes "
-             "(default: 1, the deterministic serial path; results are "
-             "identical at any job count)",
     )
 
 
@@ -800,13 +735,13 @@ def _cmd_process_export(args) -> None:
 def _cmd_table1(args) -> None:
     from repro.experiments.table1 import format_table1, run_table1
 
-    print(format_table1(run_table1(jobs=args.jobs)))
+    print(format_table1(run_table1()))
 
 
 def _cmd_table2(args) -> None:
     from repro.experiments.table2 import format_table2, run_table2
 
-    print(format_table2(run_table2(jobs=args.jobs)))
+    print(format_table2(run_table2()))
 
 
 def _cmd_central_row(args) -> None:
@@ -874,111 +809,14 @@ def _cmd_ablation(args) -> None:
 
     if args.which == "sharing":
         print(ablations.format_track_sharing(
-            ablations.run_track_sharing_ablation(jobs=args.jobs)
+            ablations.run_track_sharing_ablation()
         ))
     elif args.which == "rows":
-        print(ablations.format_row_sweep(
-            ablations.run_row_sweep(jobs=args.jobs)
-        ))
+        print(ablations.format_row_sweep(ablations.run_row_sweep()))
     else:
         print(ablations.format_oracle_quality(
-            ablations.run_oracle_quality_ablation(jobs=args.jobs)
+            ablations.run_oracle_quality_ablation()
         ))
-
-
-def _cmd_bench(args) -> None:
-    from repro.errors import BenchmarkError
-    from repro.perf.bench import (
-        format_bench_record,
-        load_bench_record,
-        run_bench,
-        write_bench_record,
-    )
-
-    record = run_bench(
-        jobs=args.jobs, smoke=args.smoke,
-        portfolio_modules=args.portfolio_modules,
-    )
-    path = write_bench_record(record, args.output)
-    record = load_bench_record(path)
-    print(format_bench_record(record))
-    print(f"trajectory record written to {path}")
-    if args.assert_plan_speedup is not None:
-        ratio = record["speedups"]["synthetic_plan_vs_batch_jobs1"]
-        if ratio < args.assert_plan_speedup:
-            raise BenchmarkError(
-                f"plan path speedup {ratio:.2f}x is below the "
-                f"required {args.assert_plan_speedup:.2f}x"
-            )
-        print(
-            f"plan path speedup {ratio:.2f}x meets the required "
-            f"{args.assert_plan_speedup:.2f}x"
-        )
-    if args.assert_incremental_speedup is not None:
-        ratio = record["speedups"]["incremental_vs_rebuild"]
-        if ratio < args.assert_incremental_speedup:
-            raise BenchmarkError(
-                f"incremental ECO speedup {ratio:.2f}x is below the "
-                f"required {args.assert_incremental_speedup:.2f}x"
-            )
-        print(
-            f"incremental ECO speedup {ratio:.2f}x meets the required "
-            f"{args.assert_incremental_speedup:.2f}x"
-        )
-    if args.assert_backend_speedup is not None:
-        ratio = record["speedups"].get("backend_numpy_vs_exact_sweep")
-        if ratio is None:
-            raise BenchmarkError(
-                "cannot assert backend speedup: the numpy backend was "
-                "not available for this bench run"
-            )
-        if ratio < args.assert_backend_speedup:
-            raise BenchmarkError(
-                f"numpy backend sweep speedup {ratio:.2f}x is below the "
-                f"required {args.assert_backend_speedup:.2f}x"
-            )
-        print(
-            f"numpy backend sweep speedup {ratio:.2f}x meets the "
-            f"required {args.assert_backend_speedup:.2f}x"
-        )
-    if args.assert_serve_throughput is not None:
-        rate = record["serve"]["estimates_per_sec"]
-        if rate < args.assert_serve_throughput:
-            raise BenchmarkError(
-                f"serve throughput {rate:.1f} estimates/sec is below "
-                f"the required {args.assert_serve_throughput:.1f}"
-            )
-        print(
-            f"serve throughput {rate:.1f} estimates/sec meets the "
-            f"required {args.assert_serve_throughput:.1f}"
-        )
-    if args.assert_portfolio_speedup is not None:
-        ratio = record["speedups"]["floorplan_portfolio_vs_serial"]
-        if ratio < args.assert_portfolio_speedup:
-            raise BenchmarkError(
-                f"floorplan portfolio speedup {ratio:.2f}x is below "
-                f"the required {args.assert_portfolio_speedup:.2f}x"
-            )
-        print(
-            f"floorplan portfolio speedup {ratio:.2f}x meets the "
-            f"required {args.assert_portfolio_speedup:.2f}x"
-        )
-    if args.assert_congestion_overhead is not None:
-        ratio = record["speedups"].get("floorplan_scored_overhead")
-        if ratio is None:
-            raise BenchmarkError(
-                "cannot assert congestion overhead: this bench record "
-                "has no routability-scored floorplan phase"
-            )
-        if ratio > args.assert_congestion_overhead:
-            raise BenchmarkError(
-                f"routability-scored sweep overhead {ratio:.2f}x is "
-                f"above the allowed {args.assert_congestion_overhead:.2f}x"
-            )
-        print(
-            f"routability-scored sweep overhead {ratio:.2f}x is within "
-            f"the allowed {args.assert_congestion_overhead:.2f}x"
-        )
 
 
 def _cmd_floorplan(args) -> None:
@@ -1020,7 +858,6 @@ def _cmd_floorplan(args) -> None:
         routability_weight=args.routability_weight,
         row_window=args.row_window,
         checkpoint_every=args.checkpoint_every,
-        jobs=args.jobs,
         spot_checks=args.spot_checks,
     )
     resume = load_checkpoint(args.resume) if args.resume else None
@@ -1076,7 +913,6 @@ def _cmd_serve(args) -> None:
         queue_limit=args.queue_limit,
         coalesce_limit=args.coalesce_limit,
         request_timeout=args.timeout,
-        jobs=args.jobs,
     ))
     server = MAEServer(
         engine, host=args.host, port=args.port,
@@ -1247,7 +1083,6 @@ def _cmd_verify(args) -> None:
     options = VerifyOptions(
         seeds=args.seeds,
         base_seed=args.base_seed,
-        jobs=args.jobs,
         check_envelope=not args.skip_envelope,
         checks=tuple(args.checks) if args.checks else None,
     )

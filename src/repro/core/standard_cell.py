@@ -129,18 +129,16 @@ def sweep_rows(
     process: ProcessDatabase,
     row_counts: Tuple[int, ...],
     config: Optional[EstimatorConfig] = None,
-    jobs: int = 1,
     backend: Optional[str] = None,
 ) -> List[StandardCellEstimate]:
     """Estimates at several row counts (the paper shows 2-3 per module
     in Table 2; "the area estimate decreased as the number of rows
     increased").
 
-    ``jobs`` > 1 fans the row counts across the batch executor's
-    process pool; results are identical and in ``row_counts`` order
-    either way.  ``backend`` selects the kernel evaluation backend
-    (``None``: the process default) — under ``numpy`` the whole sweep
-    is one 2-D (rows x net-size) kernel evaluation.
+    Results are in ``row_counts`` order.  ``backend`` selects the
+    kernel evaluation backend (``None``: the process default) — under
+    ``numpy`` the whole sweep is one 2-D (rows x net-size) kernel
+    evaluation.
     """
     # Deferred: repro.perf.batch imports this module.
     from repro.perf.batch import estimate_batch
@@ -151,7 +149,6 @@ def sweep_rows(
         process,
         [config.with_rows(rows) for rows in row_counts],
         methodologies=("standard-cell",),
-        jobs=jobs,
         backend=backend,
     )
     return [result.estimate for result in results]

@@ -76,27 +76,21 @@ class BenchmarkError(ReproError):
     """A perf-trajectory record is malformed or a bench run failed."""
 
 
-class KernelCacheError(ReproError):
-    """An on-disk kernel-cache file is malformed, stale, or unreadable."""
-
-
 class CheckpointError(ReproError):
     """A portfolio-optimizer resume file is malformed, truncated, from
     an unsupported schema version, or was written for a different
     design or configuration.  Raised after validating the *whole* file
-    and before any optimizer state is touched (the
-    :class:`KernelCacheError` pattern for on-disk state), so a failed
-    resume never corrupts a live run."""
+    and before any optimizer state is touched, so a failed resume never
+    corrupts a live run."""
 
 
 class FrontendError(ReproError):
     """A frontend input (BLIF netlist, Liberty library, synthesis
     result) is malformed, incomplete, or inconsistent with the design
     that references it.  Raised after validating the *whole* input and
-    before any library or module state is mutated (the
-    :class:`KernelCacheError` pattern for external artifacts), so a bad
-    ``.lib`` or ``.blif`` never leaves a half-ingested technology
-    database behind."""
+    before any library or module state is mutated, so a bad ``.lib`` or
+    ``.blif`` never leaves a half-ingested technology database
+    behind."""
 
 
 class ObservabilityError(ReproError):

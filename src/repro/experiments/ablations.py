@@ -54,7 +54,6 @@ class SharingPoint:
 def run_track_sharing_ablation(
     factors: Sequence[float] = (1.0, 0.75, 0.5, 0.35, 0.25),
     process: Optional[ProcessDatabase] = None,
-    jobs: int = 1,
 ) -> List[SharingPoint]:
     """A1: sweep the sharing correction factor over the Table 2 suite.
 
@@ -79,7 +78,6 @@ def run_track_sharing_ablation(
             for case in cases
         ],
         methodologies=("standard-cell",),
-        jobs=jobs,
     ))
     points: List[SharingPoint] = []
     for case in cases:
@@ -152,14 +150,12 @@ class RowSweepPoint:
 def run_row_sweep(
     row_range: Sequence[int] = tuple(range(2, 11)),
     process: Optional[ProcessDatabase] = None,
-    jobs: int = 1,
 ) -> List[RowSweepPoint]:
     """A3: estimate-vs-rows curves for the Table 2 modules."""
     process = process or nmos_process()
     points: List[RowSweepPoint] = []
     for case in table2_suite():
-        for estimate in sweep_rows(case.module, process, tuple(row_range),
-                                   jobs=jobs):
+        for estimate in sweep_rows(case.module, process, tuple(row_range)):
             points.append(
                 RowSweepPoint(
                     module_name=case.module.name,
@@ -199,7 +195,6 @@ class OracleQualityPoint:
 def run_oracle_quality_ablation(
     process: Optional[ProcessDatabase] = None,
     seed: int = 0,
-    jobs: int = 1,
 ) -> List[OracleQualityPoint]:
     """Overestimate vs oracle quality (1988 schedule vs modern anneal)."""
     process = process or nmos_process()
@@ -209,7 +204,6 @@ def run_oracle_quality_ablation(
         process,
         [[EstimatorConfig(rows=case.row_counts[0])] for case in cases],
         methodologies=("standard-cell",),
-        jobs=jobs,
     ))
     points: List[OracleQualityPoint] = []
     for case in cases:

@@ -53,13 +53,12 @@ def run_table1(
     process: Optional[ProcessDatabase] = None,
     cases: Optional[List[Table1Case]] = None,
     config: Optional[EstimatorConfig] = None,
-    jobs: int = 1,
 ) -> List[Table1Row]:
     """Run the Table 1 experiment and return its rows.
 
     Both estimate columns (exact and average device areas) for all
-    modules come from one :func:`estimate_batch` call — ``jobs`` fans
-    them across a process pool; the layout oracle runs serially.
+    modules come from one :func:`estimate_batch` call; the layout
+    oracle runs per module.
     """
     process = process or nmos_process()
     cases = cases if cases is not None else table1_suite()
@@ -71,7 +70,6 @@ def run_table1(
         [config.with_(device_area_mode="exact"),
          config.with_(device_area_mode="average")],
         methodologies=("full-custom",),
-        jobs=jobs,
     )
 
     rows: List[Table1Row] = []

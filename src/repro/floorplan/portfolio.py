@@ -20,8 +20,7 @@ by racing a *portfolio* of searchers over a shared estimate table:
 
 The perf story is the hot path.  The ``portfolio`` engine prefills the
 table through :func:`repro.perf.batch.estimate_batch` (one scan per
-module, workers warm-started from the shared kernel/plan/triangle
-snapshot), serves misses through a per-module
+module), serves misses through a per-module
 :class:`repro.incremental.IncrementalEstimator` whose compiled
 :class:`~repro.perf.plan.EstimationPlan` is revision-stamped and reused
 across moves, and runs row windows through the batched NumPy row-sweep
@@ -35,9 +34,8 @@ from ``random.Random(f"{seed}:{searcher}:{step}")``, so the trajectory
 is a pure function of ``(design, config)`` and a checkpoint needs only
 per-searcher step indices plus running totals.  Checkpoints are
 validated wholesale before any optimizer state is touched
-(:class:`~repro.errors.CheckpointError`, the ``KernelCacheError``
-pattern), and a resumed run replays the remaining moves bit-identically
-— same trajectory hashes, same winner.
+(:class:`~repro.errors.CheckpointError`), and a resumed run replays the
+remaining moves bit-identically — same trajectory hashes, same winner.
 """
 
 from __future__ import annotations
@@ -91,6 +89,10 @@ class PortfolioConfig:
     the same trajectory is computed) are embedded in checkpoints; a
     resume against a different identity raises
     :class:`~repro.errors.CheckpointError`.
+
+    ``jobs`` selects nothing: the race runs in one process, and any
+    value other than 1 is rejected.  The field remains only so callers
+    that pass ``jobs=1`` keep working.
     """
 
     steps: int = 400
@@ -129,6 +131,11 @@ class PortfolioConfig:
             raise FloorplanError(f"row_window must be >= 1, got {self.row_window}")
         if self.checkpoint_every < 1:
             raise FloorplanError("checkpoint_every must be >= 1")
+        if self.jobs != 1:
+            raise FloorplanError(
+                f"jobs must be 1 (the race runs in one process), "
+                f"got {self.jobs}"
+            )
 
     def identity(self) -> Dict[str, object]:
         """The trajectory-determining subset, JSON-able."""
@@ -223,14 +230,11 @@ class SerialEstimateServer:
 class CompiledEstimateServer:
     """The hot path: shared table over batch-prefilled compiled plans.
 
-    ``prefill`` fans one default-config estimate per module through
-    :func:`estimate_batch` (workers warm-started from the shared
-    kernel/plan/triangle snapshot; on a single-core host the pool
-    clamps to a bit-identical serial walk).  Every later miss builds at
-    most one :class:`IncrementalEstimator` per module — one scan for
-    the life of the run — and row windows around the missed count are
-    evaluated in one batched plan sweep, so steady-state moves are pure
-    table hits.
+    ``prefill`` runs one default-config estimate per module through
+    :func:`estimate_batch`.  Every later miss builds at most one
+    :class:`IncrementalEstimator` per module — one scan for the life of
+    the run — and row windows around the missed count are evaluated in
+    one batched plan sweep, so steady-state moves are pure table hits.
     """
 
     engine_name = "portfolio"
@@ -259,7 +263,6 @@ class CompiledEstimateServer:
             leaves,
             self._process,
             self._config.estimator,
-            jobs=max(1, self._config.jobs),
             backend=self._config.backend,
         )
         initial: Dict[str, int] = {}

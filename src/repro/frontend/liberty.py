@@ -9,10 +9,9 @@ that slice into :class:`LibertyLibrary`;
 :class:`~repro.technology.process.ProcessDatabase` so ingested
 netlists estimate under the library's own cell footprints.
 
-Validation follows the ``KernelCacheError`` pattern for external
-artifacts: the *whole* file is parsed and checked — balanced braces,
-no duplicate cells, an ``area`` on every cell — before any library
-object is constructed, so a truncated or inconsistent ``.lib`` raises
+Validation covers the *whole* file — balanced braces, no duplicate
+cells, an ``area`` on every cell — before any library object is
+constructed, so a truncated or inconsistent ``.lib`` raises
 :class:`~repro.errors.FrontendError` without leaving partial state
 behind.
 """

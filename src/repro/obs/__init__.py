@@ -3,7 +3,7 @@
 Four pieces, layered bottom-up:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`: additive
-  counters that merge across processes, plus a live view of the
+  counters, plus a live view of the
   :mod:`repro.perf.kernels` cache statistics, behind one snapshot API.
 * :mod:`repro.obs.trace` — :class:`Tracer` records nested wall-time
   spans from hooks inside the estimators; the default

@@ -15,8 +15,8 @@ record kinds in a fixed order:
         "payload": {"rows": 4, "tracks": 120}}
 
    ``start_s``/``duration_s`` are seconds relative to the recording
-   tracer's epoch; spans absorbed from pool workers keep their worker
-   epoch, so only durations are comparable across processes.
+   tracer's epoch; spans absorbed from another tracer keep that
+   tracer's epoch, so only durations are comparable across tracers.
 
 3. exactly one trailing ``metrics`` line carrying the tracer's
    registry snapshot (additive counters + per-process kernel-cache

@@ -11,15 +11,10 @@ fitting, batch execution).  The design constraints, in order:
    no-op context manager: no span objects, no timestamps, no retained
    allocations.  The benchmark suite runs with the null tracer and must
    stay within noise of ``BENCH_batch_engine.json``.
-2. **Survives the process pool.**  Tracer state is per-process; a pool
-   worker spawned by :mod:`repro.perf.batch` builds its own collecting
-   tracer and ships its span records and counters back to the parent,
-   which stitches them under the current span with :meth:`Tracer.absorb`
-   and merges the counters.  A ``jobs=4`` run therefore yields the same
-   merged counters as a serial run.
-3. **Plain-data records.**  Spans serialize to dicts (and to JSONL via
-   :mod:`repro.obs.jsonl`) so they cross process boundaries by pickling
-   and land on disk without custom decoders.
+2. **Plain-data records.**  Spans serialize to dicts (and to JSONL via
+   :mod:`repro.obs.jsonl`) so they land on disk without custom
+   decoders, and records from another tracer can be stitched in with
+   :meth:`Tracer.absorb`.
 
 Usage::
 
@@ -204,14 +199,13 @@ class Tracer:
     def absorb(
         self, records: List[dict], parent_id: Optional[int] = None
     ) -> None:
-        """Stitch span records from another tracer (a pool worker) in.
+        """Stitch span records from another tracer in.
 
         Ids are remapped into this tracer's id space; the foreign trace's
         root spans are re-parented under ``parent_id`` (default: the
-        currently open span, so a worker's trace nests under the batch
-        span that dispatched it).  Worker wall-times are kept as-is —
-        they are relative to the *worker's* epoch and only durations are
-        comparable across processes.
+        currently open span).  Start times are kept as-is — they are
+        relative to the *other* tracer's epoch, so only durations are
+        comparable across tracers.
         """
         if not records:
             return
@@ -267,16 +261,3 @@ def use_tracer(tracer: Union[Tracer, NullTracer]) -> Iterator[None]:
         yield
     finally:
         _current.pop()
-
-
-def reset_current_tracer() -> None:
-    """Drop any installed tracers, restoring the NullTracer default.
-
-    Pool workers call this from their initializer: under the ``fork``
-    start method a worker inherits the parent's tracer stack, and
-    recording into that copy would silently lose the spans (the parent
-    never sees them).  Resetting makes the worker-capture path
-    (:mod:`repro.perf.batch`) trace into a fresh local tracer and ship
-    the records back explicitly.
-    """
-    _current[:] = [_NULL_TRACER]

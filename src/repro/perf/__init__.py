@@ -18,13 +18,8 @@ estimators' *math* untouched while removing the repeated work:
   pre-resolved process constants) and re-evaluated per row count,
   bit-identical to the direct path.
 * :mod:`repro.perf.batch` — ``estimate_batch``: scan each module once
-  and fan (module x config x methodology) estimation tasks across a
-  process pool whose workers warm-start from the parent's caches, with
-  a deterministic serial path at ``jobs=1`` that is bit-identical to
-  the per-call estimators.
-* :mod:`repro.perf.diskcache` — opt-in on-disk persistence of the
-  kernel caches (``--kernel-cache`` / ``$MAE_KERNEL_CACHE``), versioned
-  and validated on load.
+  and evaluate every (module x config x methodology) estimation task
+  in this process, bit-identical to the per-call estimators.
 * :mod:`repro.perf.backends` — pluggable kernel evaluation backends:
   ``exact`` (the memoized scalar kernels, the reference semantics) and
   ``numpy`` (whole-histogram float64 vectorization with a near-integer
@@ -33,8 +28,8 @@ estimators' *math* untouched while removing the repeated work:
   incremental engine.
 * :mod:`repro.perf.bench` — the perf-trajectory harness that times the
   Table 1/2 suites, a large synthetic sweep, the plan-vs-direct paths,
-  cold-vs-warm pool workers, and the exact-vs-numpy backend phases, and
-  writes ``BENCH_batch_engine.json`` so every future PR's speedups (or
+  and the exact-vs-numpy backend phases, and writes
+  ``BENCH_batch_engine.json`` so every future PR's speedups (or
   regressions) land in a machine-readable trajectory.
 """
 
@@ -43,12 +38,8 @@ from repro.perf.kernels import (
     cache_enabled,
     caches_disabled,
     clear_kernel_caches,
-    install_kernel_caches,
     kernel_cache_stats,
-    kernel_counter_totals,
-    reset_kernel_counters,
     set_cache_enabled,
-    snapshot_kernel_caches,
     surjection_triangle_stats,
 )
 
@@ -58,18 +49,12 @@ from repro.perf.kernels import (
 _LAZY_EXPORTS = {
     "BatchResult": "batch",
     "BatchTask": "batch",
-    "PoolStats": "batch",
     "estimate_batch": "batch",
-    "last_pool_stats": "batch",
     "EstimationPlan": "plan",
     "compile_plan": "plan",
     "get_plan": "plan",
     "plan_cache_stats": "plan",
     "clear_plan_cache": "plan",
-    "load_kernel_caches": "diskcache",
-    "persistent_kernel_caches": "diskcache",
-    "resolve_cache_path": "diskcache",
-    "save_kernel_caches": "diskcache",
     "ExactBackend": "backends",
     "NumpyBackend": "backends",
     "available_backends": "backends",
@@ -100,7 +85,6 @@ __all__ = [
     "EstimationPlan",
     "ExactBackend",
     "NumpyBackend",
-    "PoolStats",
     "available_backends",
     "backend_stats",
     "cache_enabled",
@@ -113,20 +97,11 @@ __all__ = [
     "estimate_batch",
     "get_backend",
     "get_plan",
-    "install_kernel_caches",
     "kernel_cache_stats",
-    "kernel_counter_totals",
-    "last_pool_stats",
-    "load_kernel_caches",
-    "persistent_kernel_caches",
     "plan_cache_stats",
-    "reset_kernel_counters",
     "resolve_backend_name",
-    "resolve_cache_path",
-    "save_kernel_caches",
     "set_cache_enabled",
     "set_default_backend",
-    "snapshot_kernel_caches",
     "surjection_triangle_stats",
     "use_backend",
 ]

@@ -19,9 +19,8 @@ cost models:
 This module is the registry and the selection state.  Selection is a
 process-wide *default* (``set_default_backend`` /
 ``current_backend``), set once by the CLI from ``--backend`` /
-``$MAE_BACKEND`` and inherited by pool workers through the batch
-initializer; every planning API also takes an explicit ``backend=``
-override.  ``auto`` resolves to ``numpy`` when NumPy imports and falls
+``$MAE_BACKEND``; every planning API also takes an explicit
+``backend=`` override.  ``auto`` resolves to ``numpy`` when NumPy imports and falls
 back to ``exact`` silently otherwise; naming ``numpy`` explicitly on a
 host without NumPy raises :class:`~repro.errors.BackendUnavailableError`.
 """

@@ -1,4 +1,4 @@
-"""Batch/parallel front door for the estimators.
+"""Batch front door for the estimators.
 
 The floor-planning regime (PAPERS.md: running an area estimator inside
 floorplan iteration over thousands of candidate configurations) calls
@@ -9,34 +9,22 @@ triple repeats two kinds of work — the schematic scan (once per call
 instead of once per module) and the probability kernels (now shared
 process-wide via :mod:`repro.perf.kernels`).
 
-:func:`estimate_batch` removes both and adds parallelism:
-
-* each module is scanned **once** per distinct scan signature (port
-  pitch override, power-net list) and the scan is reused across every
-  row count and methodology;
-* at ``jobs=1`` the whole batch runs serially in-process — the
-  deterministic reference path, bit-identical to per-call estimation;
-* at ``jobs>1`` the per-module task groups fan out across a
-  ``concurrent.futures`` process pool.  Results are collected in
-  submission order, so the output is identical to the serial path,
-  element for element, regardless of worker scheduling.
+:func:`estimate_batch` removes both: each module is scanned **once**
+per distinct scan signature (port pitch override, power-net list) and
+the scan is reused across every row count and methodology.  The batch
+runs serially in this process, bit-identical to per-call estimation.
 
 Standard-cell tasks evaluate through compiled
 :class:`~repro.perf.plan.EstimationPlan` objects (one compilation per
 module per distinct config family, then one array-at-once evaluation
-per row count), and pool workers no longer cold-start: by default the
-parent's kernel caches, Stirling triangle, and compiled plans are
-snapshot and shipped through the pool initializer (``warm_start``), so
-every worker begins with the parent's warm state.
+per row count).
 
 The sweep helpers (``sweep_rows``, Table 1/2 drivers, the ablations,
-and the ``--jobs`` CLI flag) all route through here.
+the floorplan prefill) all route through here.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -46,26 +34,9 @@ from repro.core.results import FullCustomEstimate, StandardCellEstimate
 from repro.errors import EstimationError
 from repro.netlist.model import Module
 from repro.netlist.stats import ModuleStatistics, scan_module
-from repro.obs.trace import (
-    Tracer,
-    current_tracer,
-    reset_current_tracer,
-    use_tracer,
-)
-from repro.perf.backends import resolve_backend_name, set_default_backend
-from repro.perf.kernels import (
-    clear_kernel_caches,
-    install_kernel_caches,
-    kernel_counter_totals,
-    reset_kernel_counters,
-    snapshot_kernel_caches,
-)
-from repro.perf.plan import (
-    clear_plan_cache,
-    get_plan,
-    install_plans,
-    snapshot_plans,
-)
+from repro.obs.trace import current_tracer
+from repro.perf.backends import resolve_backend_name
+from repro.perf.plan import get_plan
 from repro.technology.process import ProcessDatabase
 
 #: Methodologies the batch executor understands.
@@ -92,29 +63,6 @@ class BatchResult:
     estimate: Estimate
 
 
-@dataclass(frozen=True)
-class PoolStats:
-    """What the last pooled :func:`estimate_batch` run shipped and how
-    warm its workers ran (per-process cache facts, not tracer counters)."""
-
-    workers: int
-    warm_start: bool
-    shipped_entries: int        # kernel entries + plans in the snapshot
-    worker_hits: int            # summed over all pooled groups
-    worker_misses: int
-    worker_bypasses: int
-
-
-_LAST_POOL_STATS: Optional[PoolStats] = None
-
-
-def last_pool_stats() -> Optional[PoolStats]:
-    """Statistics of the most recent pooled run in this process, or
-    ``None`` if the last :func:`estimate_batch` ran serially (including
-    the silent fallback when workers cannot start)."""
-    return _LAST_POOL_STATS
-
-
 def estimate_batch(
     modules: Sequence[Module],
     process: ProcessDatabase,
@@ -124,9 +72,6 @@ def estimate_batch(
         Sequence[Sequence[EstimatorConfig]],
     ],
     methodologies: Iterable[str] = ("standard-cell",),
-    jobs: int = 1,
-    warm_start: bool = True,
-    force_pool: bool = False,
     backend: Optional[str] = None,
 ) -> List[BatchResult]:
     """Estimate every (module x methodology x config) combination.
@@ -144,27 +89,9 @@ def estimate_batch(
         differ per module).
     methodologies:
         Subset of ``("standard-cell", "full-custom")``.
-    jobs:
-        ``1`` (default) runs serially in-process; ``> 1`` fans
-        per-module task groups across a process pool of that many
-        workers (clamped to the host's core count and the number of
-        modules).  Output order and values are identical either way.
-    warm_start:
-        When pooling, snapshot this process's kernel caches, Stirling
-        triangle, and compiled plans and install them in every worker
-        via the pool initializer (default).  ``False`` starts workers
-        with cleared caches — the benchmark's cold reference.  Results
-        are bit-identical either way; only the work repeated per
-        worker changes.
-    force_pool:
-        Skip the core-count clamp (benchmarking worker behaviour on
-        hosts with fewer cores than ``jobs``).
     backend:
         Kernel evaluation backend name (``None``: the process default,
-        see :mod:`repro.perf.backends`).  Resolved once up front; pool
-        workers inherit the resolved backend through the initializer,
-        so a ``numpy`` parent never silently mixes in ``exact`` workers
-        (or vice versa).
+        see :mod:`repro.perf.backends`), resolved once up front.
 
     Returns
     -------
@@ -180,54 +107,19 @@ def estimate_batch(
             f"unknown methodologies {sorted(unknown)}; expected a subset "
             f"of {BATCH_METHODOLOGIES}"
         )
-    if jobs < 1:
-        raise EstimationError(f"jobs must be >= 1, got {jobs}")
 
     modules = list(modules)
     per_module_configs = _normalise_configs(modules, configs)
     backend_name = resolve_backend_name(backend)
     tracer = current_tracer()
-    # When the parent is tracing, workers must trace too: each pool
-    # worker collects spans and counters locally and ships them back
-    # for the merge below, so jobs>1 reports the same merged metrics as
-    # the serial path.
-    capture = tracer.enabled
-    groups = [
-        (module, process, methodologies, module_configs, capture,
-         backend_name)
-        for module, module_configs in zip(modules, per_module_configs)
-    ]
-
-    global _LAST_POOL_STATS
-    _LAST_POOL_STATS = None
+    results: List[BatchResult] = []
     with tracer.span("batch.estimate") as batch_span:
-        # Worker processes beyond the physical core count (or the group
-        # count) are pure spawn/pickle overhead, so clamp before deciding
-        # whether a pool is worth starting at all — on a single-core host
-        # every jobs value degrades to the fast in-process path.
-        # ``force_pool`` skips the core clamp for worker benchmarking.
-        if force_pool:
-            workers = min(jobs, len(groups))
-        else:
-            workers = min(jobs, os.cpu_count() or 1, len(groups))
-        if workers <= 1:
-            outcomes = [_estimate_module_group(group) for group in groups]
-        else:
-            outcomes = _run_pool(groups, workers, warm_start, backend_name)
-
-        estimate_lists: List[List[Estimate]] = []
-        for estimates, worker_records, worker_counters in outcomes:
-            if worker_records:
-                tracer.absorb(worker_records)
-            if worker_counters:
-                tracer.metrics.merge_counters(worker_counters)
-            estimate_lists.append(estimates)
-
-        results: List[BatchResult] = []
-        for module_index, (module, module_configs, estimates) in enumerate(
-            zip(modules, per_module_configs, estimate_lists)
+        for module_index, (module, module_configs) in enumerate(
+            zip(modules, per_module_configs)
         ):
-            cursor = iter(estimates)
+            cursor = iter(_run_group(
+                module, process, methodologies, module_configs, backend_name
+            ))
             for methodology in methodologies:
                 for config in module_configs:
                     results.append(
@@ -241,154 +133,25 @@ def estimate_batch(
                             estimate=next(cursor),
                         )
                     )
-        if capture:
-            # Worker count and warm-start shipping are run-shape, not
-            # workload: span payload only, so serial and jobs>1 runs
-            # merge to identical counters.
-            batch_span.set("workers", workers)
-            batch_span.set("groups", len(groups))
+        if tracer.enabled:
+            batch_span.set("groups", len(modules))
             batch_span.set("tasks", len(results))
-            if _LAST_POOL_STATS is not None:
-                batch_span.set("warm_start", _LAST_POOL_STATS.warm_start)
-                batch_span.set(
-                    "warm_entries", _LAST_POOL_STATS.shipped_entries
-                )
             metrics = tracer.metrics
             metrics.incr("batch.calls")
-            metrics.incr("batch.groups", len(groups))
+            metrics.incr("batch.groups", len(modules))
             metrics.incr("batch.tasks", len(results))
     return results
 
 
-#: What one group evaluation ships back: the estimates, plus — only
-#: when a pool worker captured them — its span records and counters.
-GroupOutcome = Tuple[List[Estimate], Optional[list], Optional[dict]]
-
-
-def _run_pool(
-    groups: list, workers: int, warm_start: bool, backend_name: str
-) -> List[GroupOutcome]:
-    """Fan the per-module groups across a process pool.
-
-    Futures are collected in submission order, so results line up with
-    the serial path exactly.  If the platform cannot start worker
-    processes (no /dev/shm, sandboxed fork, ...), the batch silently
-    degrades to the serial path rather than failing the sweep.
-
-    Every worker runs :func:`_init_worker`: caches are cleared first
-    (so ``fork``-inherited state never blurs the cold/warm distinction)
-    and, when ``warm_start``, the parent's snapshot is installed.
-    """
-    global _LAST_POOL_STATS
-    snapshot = None
-    shipped = 0
-    if warm_start:
-        caches = snapshot_kernel_caches()
-        plans = snapshot_plans()
-        shipped = sum(len(c) for c in caches["kernels"].values()) + len(plans)
-        snapshot = {"caches": caches, "plans": plans}
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(snapshot, backend_name),
-        ) as pool:
-            futures = [
-                pool.submit(_pooled_module_group, group) for group in groups
-            ]
-            packed = [future.result() for future in futures]
-    except (OSError, PermissionError, ImportError):
-        return [_estimate_module_group(group) for group in groups]
-    hits = misses = bypasses = 0
-    outcomes: List[GroupOutcome] = []
-    for outcome, (group_hits, group_misses, group_bypasses) in packed:
-        hits += group_hits
-        misses += group_misses
-        bypasses += group_bypasses
-        outcomes.append(outcome)
-    _LAST_POOL_STATS = PoolStats(
-        workers=workers,
-        warm_start=warm_start,
-        shipped_entries=shipped,
-        worker_hits=hits,
-        worker_misses=misses,
-        worker_bypasses=bypasses,
-    )
-    return outcomes
-
-
-def _init_worker(
-    snapshot: Optional[dict], backend_name: Optional[str] = None
-) -> None:
-    """Pool-worker initializer: start deterministically cold or warm.
-
-    The explicit clear makes cold workers cold even under the ``fork``
-    start method (which would otherwise inherit the parent's caches via
-    copy-on-write); the counter reset makes the per-worker hit/miss
-    deltas reflect only estimation work, not the install itself.  The
-    tracer reset matters for the same reason: a forked worker inherits
-    the parent's *enabled* tracer, and recording into that copy would
-    bypass the capture path that ships spans back to the parent.
-    """
-    reset_current_tracer()
-    if backend_name is not None:
-        # Pool workers inherit the parent's *resolved* backend; under
-        # ``spawn`` the worker would otherwise boot on the registry
-        # default ("exact") regardless of the parent's selection.
-        set_default_backend(backend_name)
-    clear_kernel_caches()
-    clear_plan_cache()
-    if snapshot is not None:
-        install_kernel_caches(snapshot["caches"])
-        install_plans(snapshot["plans"])
-    reset_kernel_counters()
-
-
-def _pooled_module_group(group) -> Tuple[GroupOutcome, Tuple[int, int, int]]:
-    """Pool-worker task wrapper: the group outcome plus this group's
-    kernel hit/miss/bypass delta, so the parent can report how much
-    work warm-starting actually saved."""
-    before = kernel_counter_totals()
-    outcome = _estimate_module_group(group)
-    after = kernel_counter_totals()
-    delta = tuple(now - then for now, then in zip(after, before))
-    return outcome, delta
-
-
-def _estimate_module_group(group) -> GroupOutcome:
-    """Worker: all (methodology x config) estimates for one module.
-
-    Runs in a pool worker at ``jobs>1`` and inline at ``jobs=1``; the
-    schematic scan is shared across every config with the same scan
-    signature, and kernel-cache entries are shared process-wide.
-
-    When ``capture`` is set and no tracer is active in this process
-    (i.e. we are a pool worker of a traced parent), a local tracer
-    collects this group's spans and counters and returns them for the
-    parent to merge.  Inline (serial) execution records straight into
-    the parent's tracer and returns ``None`` for both.
-    """
-    module, process, methodologies, configs, capture, backend_name = group
-    tracer = current_tracer()
-    if capture and not tracer.enabled:
-        local = Tracer()
-        with use_tracer(local):
-            with local.span("batch.worker_group") as span:
-                span.set("module", module.name)
-                estimates = _run_group(
-                    module, process, methodologies, configs, backend_name
-                )
-        return estimates, local.records(), local.metrics.counters()
-    return (
-        _run_group(module, process, methodologies, configs, backend_name),
-        None,
-        None,
-    )
-
-
 def _run_group(
-    module, process, methodologies, configs, backend_name=None
+    module: Module,
+    process: ProcessDatabase,
+    methodologies: Tuple[str, ...],
+    configs: Tuple[EstimatorConfig, ...],
+    backend_name: str,
 ) -> List[Estimate]:
+    """All (methodology x config) estimates for one module, sharing
+    one schematic scan per scan signature."""
     scans: dict = {}
 
     def stats_for(config: EstimatorConfig) -> ModuleStatistics:

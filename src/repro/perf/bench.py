@@ -13,17 +13,15 @@ This harness times three workloads —
 * **seed serial**: one estimator call per (module, config) with kernel
   memoization disabled, re-scanning the schematic every call — the
   repository's original behaviour;
-* **batch jobs=1**: :func:`repro.perf.batch.estimate_batch` on one
-  process, kernel caches warm — isolates the caching/scan-sharing win;
+* **batch jobs=1**: :func:`repro.perf.batch.estimate_batch`, kernel
+  caches warm — isolates the caching/scan-sharing win (the ``jobs1``
+  in the phase names predates the removal of the process pool and is
+  kept so the trajectory stays comparable);
 * **direct jobs=1**: scan once per module, then
   ``estimate_standard_cell_from_stats`` per row count — the PR 1
   reference the compiled-plan path is measured against;
 * **plan jobs=1**: compile one :class:`~repro.perf.plan.EstimationPlan`
   per module and ``evaluate`` it per row count;
-* **pool cold / pool warm**: the same batch across a forced process
-  pool, with workers starting from cleared caches versus warm-started
-  from the parent's snapshot (``warm_start``) — the record reports how
-  many per-worker kernel misses warm-starting eliminated;
 * **eco rebuild / eco incremental**: a 50-edit ECO sequence against a
   moderate module, estimated after every edit — once by rescanning the
   netlist from scratch per edit, once through the
@@ -41,8 +39,10 @@ and writes everything to ``BENCH_batch_engine.json`` (schema-validated,
 so a malformed trajectory file fails fast instead of silently polluting
 the record).
 
-Run it via ``mae bench``, the ``mae-bench`` console script, or
-``python benchmarks/run_benchmarks.py``; ``--smoke`` keeps CI fast.
+Run it via ``mae bench``, the ``mae-bench`` console script,
+``python -m repro.perf.bench`` or ``python benchmarks/run_benchmarks.py``
+— all four share :func:`add_bench_arguments` and
+:func:`run_bench_command`; ``--smoke`` keeps CI fast.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import random
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.config import EstimatorConfig
 from repro.core.full_custom import estimate_full_custom_both
@@ -68,7 +68,7 @@ from repro.errors import BenchmarkError
 from repro.netlist.model import Module
 from repro.netlist.stats import scan_module
 from repro.obs.metrics import get_registry
-from repro.perf.batch import estimate_batch, last_pool_stats
+from repro.perf.batch import estimate_batch
 from repro.perf.kernels import (
     caches_disabled,
     clear_kernel_caches,
@@ -90,7 +90,7 @@ from repro.workloads.generators import (
 )
 from repro.workloads.suites import table1_suite, table2_suite
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 BENCH_NAME = "batch_engine"
 DEFAULT_OUTPUT = "BENCH_batch_engine.json"
 
@@ -201,7 +201,6 @@ def backend_stress_histograms(
 # the bench itself
 # ----------------------------------------------------------------------
 def run_bench(
-    jobs: int = 4,
     module_count: int = 50,
     row_counts: Sequence[int] = SWEEP_ROW_COUNTS,
     process: Optional[ProcessDatabase] = None,
@@ -260,7 +259,6 @@ def run_bench(
             [config.with_(device_area_mode="exact"),
              config.with_(device_area_mode="average")],
             methodologies=("full-custom",),
-            jobs=1,
         )
         return [result.estimate for result in batch]
 
@@ -292,7 +290,6 @@ def run_bench(
             [[EstimatorConfig(rows=row_count)
               for row_count in case.row_counts] for case in t2_cases],
             methodologies=("standard-cell",),
-            jobs=1,
         )
         return [result.estimate for result in batch]
 
@@ -331,10 +328,9 @@ def run_bench(
                 for config in sweep_configs
             ]
 
-    def sweep_batch(n_jobs: int):
+    def sweep_batch():
         batch = estimate_batch(
-            sweep, process, sweep_configs,
-            methodologies=("standard-cell",), jobs=n_jobs,
+            sweep, process, sweep_configs, methodologies=("standard-cell",),
         )
         return [result.estimate for result in batch]
 
@@ -344,11 +340,11 @@ def run_bench(
     clear_kernel_caches()
     clear_plan_cache()
     batch1_estimates = timed("synthetic_batch_jobs1", sweep_items,
-                             lambda: sweep_batch(1))
+                             sweep_batch)
     # Mode-collapse audit: for D <= n the exact and paper row-spread
     # distributions coincide bit-for-bit and canonicalize to one cache
     # entry, so this sweep over the live (D, rows) population is served
-    # from the entries the jobs=1 batch just filled — the audit both
+    # from the entries the batch phase just filled — the audit both
     # checks the invariant and is what makes the row_spread_pmf /
     # expected_row_spread hit rates in the snapshot below non-zero.
     modes_collapse = True
@@ -371,14 +367,6 @@ def run_bench(
     # (same shape as before, no reaching into repro.perf.kernels).
     cache_snapshot = get_registry().snapshot()["kernels"]
     equivalence["synthetic_jobs1"] = seed_estimates == batch1_estimates
-    if jobs > 1:
-        clear_kernel_caches()
-        clear_plan_cache()
-        batchn_estimates = timed(f"synthetic_batch_jobs{jobs}", sweep_items,
-                                 lambda: sweep_batch(jobs))
-        equivalence[f"synthetic_jobs{jobs}"] = (
-            seed_estimates == batchn_estimates
-        )
 
     # ---- plan path vs the PR 1 direct path ---------------------------
     # Both phases reuse the one-time scan and start from cleared caches,
@@ -413,47 +401,6 @@ def run_bench(
     plan_snapshot = get_registry().snapshot()
     plans_section = plan_snapshot["plans"]
     triangle_section = plan_snapshot["triangle"]
-
-    # ---- pool workers: cold start vs warm start ----------------------
-    # force_pool bypasses the core clamp so the worker phases measure
-    # real pool behaviour even on single-core CI hosts.  The parent's
-    # caches are warm from the plan phase, which is exactly what the
-    # warm phase ships.
-    warm_section: Optional[dict] = None
-    pool_jobs = max(2, jobs)
-
-    def sweep_pool(warm: bool):
-        batch = estimate_batch(
-            sweep, process, sweep_configs,
-            methodologies=("standard-cell",), jobs=pool_jobs,
-            warm_start=warm, force_pool=True,
-        )
-        return [result.estimate for result in batch]
-
-    pool_cold_estimates = timed("synthetic_pool_cold", sweep_items,
-                                lambda: sweep_pool(False))
-    cold_stats = last_pool_stats()
-    pool_warm_estimates = timed("synthetic_pool_warm", sweep_items,
-                                lambda: sweep_pool(True))
-    warm_stats = last_pool_stats()
-    equivalence["synthetic_pool_cold"] = seed_estimates == pool_cold_estimates
-    equivalence["synthetic_pool_warm"] = seed_estimates == pool_warm_estimates
-    if cold_stats is not None and warm_stats is not None:
-        # Both runs pooled (neither fell back to the serial path).
-        eliminated = (
-            1.0 - warm_stats.worker_misses / cold_stats.worker_misses
-            if cold_stats.worker_misses else 0.0
-        )
-        warm_section = {
-            "available": True,
-            "workers": warm_stats.workers,
-            "entries_shipped": warm_stats.shipped_entries,
-            "cold_worker_misses": cold_stats.worker_misses,
-            "warm_worker_misses": warm_stats.worker_misses,
-            "miss_elimination": round(eliminated, 4),
-        }
-    else:
-        warm_section = {"available": False}
 
     # ---- incremental ECO path vs rebuild-per-edit --------------------
     # Both paths estimate after *every* edit of the same sequence, with
@@ -689,7 +636,7 @@ def run_bench(
                                 name="bench_chip")
     fp_steps = max(60, min(2 * portfolio_modules, 1200))
     fp_config = PortfolioConfig(
-        steps=fp_steps, seed=29, jobs=jobs,
+        steps=fp_steps, seed=29,
         checkpoint_every=max(1, fp_steps // 2),
         spot_checks=4,
     )
@@ -825,23 +772,15 @@ def run_bench(
             timings["synthetic_batch_jobs1"],
         ),
     }
-    if jobs > 1:
-        speedups[f"synthetic_batch_jobs{jobs}_vs_seed"] = _ratio(
-            timings["synthetic_seed_serial"],
-            timings[f"synthetic_batch_jobs{jobs}"],
-        )
     speedups["synthetic_plan_vs_direct_jobs1"] = _ratio(
         timings["synthetic_direct_jobs1"], timings["synthetic_plan_jobs1"]
     )
     # The headline plan number: compiled plans versus the PR 1 batch
-    # engine on the same sweep (estimate_batch at jobs=1 re-scans and
+    # engine on the same sweep (estimate_batch re-scans and
     # re-dispatches per group; the plan phase compiles once per module
     # and then only evaluates).
     speedups["synthetic_plan_vs_batch_jobs1"] = _ratio(
         timings["synthetic_batch_jobs1"], timings["synthetic_plan_jobs1"]
-    )
-    speedups["synthetic_pool_warm_vs_cold"] = _ratio(
-        timings["synthetic_pool_cold"], timings["synthetic_pool_warm"]
     )
     # The headline ECO number: delta-maintained statistics versus a
     # from-scratch rescan after every edit of the same sequence.
@@ -880,7 +819,6 @@ def run_bench(
         "benchmark": BENCH_NAME,
         "created_unix": time.time(),
         "smoke": smoke,
-        "jobs": jobs,
         "environment": {
             "python": platform.python_version(),
             "platform": sys.platform,
@@ -899,7 +837,6 @@ def run_bench(
             "plans": plans_section,
             "triangle": triangle_section,
         },
-        "warm_start": warm_section,
         "incremental": incremental_section,
         "backend": backend_section,
         "serve": serve_section,
@@ -930,9 +867,6 @@ def validate_bench_record(record: dict) -> None:
     _require(record, "benchmark", str)
     _require(record, "created_unix", (int, float))
     _require(record, "smoke", bool)
-    jobs = _require(record, "jobs", int)
-    if jobs < 1:
-        raise BenchmarkError(f"jobs must be >= 1, got {jobs}")
 
     phases = _require(record, "phases", list)
     if not phases:
@@ -981,24 +915,6 @@ def validate_bench_record(record: dict) -> None:
         if value < 0:
             raise BenchmarkError(
                 f"cache[triangle].{field} must be >= 0, got {value}"
-            )
-
-    warm = _require(record, "warm_start", dict)
-    available = _require(warm, "available", bool, context="warm_start")
-    if available:
-        for field in ("workers", "entries_shipped", "cold_worker_misses",
-                      "warm_worker_misses"):
-            value = _require(warm, field, int, context="warm_start")
-            if value < 0:
-                raise BenchmarkError(
-                    f"warm_start.{field} must be >= 0, got {value}"
-                )
-        elimination = _require(warm, "miss_elimination", (int, float),
-                               context="warm_start")
-        if not 0.0 <= elimination <= 1.0:
-            raise BenchmarkError(
-                f"warm_start.miss_elimination must be within [0, 1], "
-                f"got {elimination}"
             )
 
     incremental = _require(record, "incremental", dict)
@@ -1210,8 +1126,7 @@ def format_bench_record(record: dict) -> str:
     ]
     table = render_table(
         headers, body,
-        title=f"Batch-engine perf trajectory "
-              f"(jobs={record['jobs']}, smoke={record['smoke']})",
+        title=f"Batch-engine perf trajectory (smoke={record['smoke']})",
     )
     speedups = ", ".join(
         f"{name} = {value:.2f}x"
@@ -1221,17 +1136,6 @@ def format_bench_record(record: dict) -> str:
         f"{name} {stats['hit_rate']:.0%}"
         for name, stats in sorted(record["cache"]["kernels"].items())
     )
-    warm = record["warm_start"]
-    if warm.get("available"):
-        warm_line = (
-            f"warm start: {warm['entries_shipped']} entries shipped to "
-            f"{warm['workers']} workers, misses "
-            f"{warm['cold_worker_misses']} cold -> "
-            f"{warm['warm_worker_misses']} warm "
-            f"({warm['miss_elimination']:.0%} eliminated)"
-        )
-    else:
-        warm_line = "warm start: pool unavailable (serial fallback)"
     serve = record["serve"]
     serve_line = (
         f"serve: {serve['sessions']} sessions, "
@@ -1252,23 +1156,58 @@ def format_bench_record(record: dict) -> str:
     )
     return (
         f"{table}\nspeedups: {speedups}\n"
-        f"kernel-cache hit rates (jobs=1 sweep): {hit_rates}\n"
-        f"{warm_line}\n{serve_line}\n{floorplan_line}\n{history_line}"
+        f"kernel-cache hit rates (synthetic sweep): {hit_rates}\n"
+        f"{serve_line}\n{floorplan_line}\n{history_line}"
     )
 
 
 # ----------------------------------------------------------------------
-# console entry point (``mae-bench`` / benchmarks/run_benchmarks.py)
+# the command (``mae bench``, ``mae-bench``, ``python -m repro.perf.bench``,
+# benchmarks/run_benchmarks.py)
 # ----------------------------------------------------------------------
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="mae-bench",
-        description="Run the batch-engine benchmark suite and write the "
-                    "BENCH_batch_engine.json perf-trajectory record.",
-    )
-    parser.add_argument("--jobs", type=int, default=4, metavar="N",
-                        help="worker processes for the parallel phase "
-                             "(default: 4)")
+class Gate(NamedTuple):
+    """One ``--assert-*`` gate on a value of the written record."""
+
+    flag: str
+    label: str          # what the value measures
+    section: str        # record section and key holding the value
+    key: str
+    unit: str
+    at_least: bool      # a floor (speedup, throughput) or a ceiling
+    help: str
+
+
+GATES: Tuple[Gate, ...] = (
+    Gate("--assert-plan-speedup", "plan path speedup (plan vs batch jobs=1)",
+         "speedups", "synthetic_plan_vs_batch_jobs1", "x", True,
+         "fail unless the compiled-plan path is at least X times the "
+         "batch path (plan vs batch jobs=1)"),
+    Gate("--assert-incremental-speedup", "incremental ECO speedup",
+         "speedups", "incremental_vs_rebuild", "x", True,
+         "fail unless the incremental ECO path is at least X times "
+         "rebuild-per-edit"),
+    Gate("--assert-backend-speedup", "numpy backend sweep speedup",
+         "speedups", "backend_numpy_vs_exact_sweep", "x", True,
+         "fail unless the numpy backend's rows-batched sweep kernel is at "
+         "least X times the exact kernels (errors when NumPy is "
+         "unavailable)"),
+    Gate("--assert-serve-throughput", "serve throughput",
+         "serve", "estimates_per_sec", " estimates/sec", True,
+         "fail unless the serve phase sustains at least X estimates/sec "
+         "across its concurrent sessions"),
+    Gate("--assert-portfolio-speedup", "floorplan portfolio speedup",
+         "speedups", "floorplan_portfolio_vs_serial", "x", True,
+         "fail unless the portfolio floorplan engine is at least X times "
+         "the serial loop in modules/sec"),
+    Gate("--assert-congestion-overhead", "routability-scored sweep overhead",
+         "speedups", "floorplan_scored_overhead", "x", False,
+         "fail if the routability-scored portfolio sweep takes more than "
+         "X times the unscored sweep's wall time (lower is better)"),
+)
+
+
+def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
+    """The bench command's flags, shared by every entry point."""
     parser.add_argument("--modules", type=int, default=50, metavar="M",
                         help="synthetic sweep population (default: 50)")
     parser.add_argument("--smoke", action="store_true",
@@ -1276,165 +1215,65 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "validates the record, no timing claims")
     parser.add_argument("--output", default=None,
                         help=f"destination JSON (default: {DEFAULT_OUTPUT})")
-    parser.add_argument("--assert-plan-speedup", type=float, default=None,
-                        metavar="X",
-                        help="fail unless the compiled-plan path is at "
-                             "least X times the direct path (CI guard "
-                             "against plan-path regressions)")
-    parser.add_argument("--assert-incremental-speedup", type=float,
-                        default=None, metavar="X",
-                        help="fail unless the incremental ECO path is at "
-                             "least X times rebuild-per-edit (CI guard "
-                             "against delta-engine regressions)")
-    parser.add_argument("--assert-backend-speedup", type=float,
-                        default=None, metavar="X",
-                        help="fail unless the vectorized numpy backend is "
-                             "at least X times the exact kernels on the "
-                             "rows-batched sweep (CI guard against "
-                             "vectorization regressions; errors when "
-                             "NumPy is unavailable)")
-    parser.add_argument("--assert-serve-throughput", type=float,
-                        default=None, metavar="EPS",
-                        help="fail unless the serve phase sustains at "
-                             "least EPS estimates/sec across its "
-                             "concurrent sessions (CI guard against "
-                             "service regressions)")
     parser.add_argument("--portfolio-modules", type=int, default=None,
                         metavar="N",
                         help="design size for the floorplan-race phase "
                              f"(default: {PORTFOLIO_MODULES_SMOKE} in "
                              f"--smoke, {PORTFOLIO_MODULES} otherwise)")
-    parser.add_argument("--assert-portfolio-speedup", type=float,
-                        default=None, metavar="X",
-                        help="fail unless the portfolio floorplan engine "
-                             "is at least X times the serial loop in "
-                             "modules/sec (CI guard against hot-path "
-                             "regressions)")
-    parser.add_argument("--assert-congestion-overhead", type=float,
-                        default=None, metavar="X",
-                        help="fail if the routability-scored portfolio "
-                             "sweep takes more than X times the unscored "
-                             "sweep's wall time (CI guard against "
-                             "congestion-pricing regressions; lower is "
-                             "better)")
-    parser.add_argument("--kernel-cache", default=None, metavar="FILE",
-                        help="load kernel caches from FILE before the run "
-                             "and save them back after (also honours "
-                             "$MAE_KERNEL_CACHE)")
-    args = parser.parse_args(argv)
+    for gate in GATES:
+        parser.add_argument(gate.flag, type=float, default=None,
+                            metavar="X", help=gate.help)
 
-    from repro.errors import KernelCacheError
-    from repro.perf.diskcache import persistent_kernel_caches
 
-    try:
-        with persistent_kernel_caches(args.kernel_cache):
-            record = run_bench(jobs=args.jobs, module_count=args.modules,
-                               smoke=args.smoke,
-                               portfolio_modules=args.portfolio_modules)
-            path = write_bench_record(record, args.output)
-            # Round-trip through the validator so a malformed file on
-            # disk fails here, not in the next PR's trajectory tooling
-            # (and so the summary below reports the written history).
-            record = load_bench_record(path)
-    except (BenchmarkError, KernelCacheError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def run_bench_command(args: argparse.Namespace) -> None:
+    """Run the bench with parsed :func:`add_bench_arguments` flags:
+    write and re-validate the record, print its summary, then apply
+    every requested ``--assert-*`` gate.  A failed gate raises
+    :class:`~repro.errors.BenchmarkError`."""
+    record = run_bench(module_count=args.modules, smoke=args.smoke,
+                       portfolio_modules=args.portfolio_modules)
+    path = write_bench_record(record, args.output)
+    # Round-trip through the validator so a malformed file on disk
+    # fails here, not in the next PR's trajectory tooling (and so the
+    # summary below reports the written history).
+    record = load_bench_record(path)
     print(format_bench_record(record))
     print(f"trajectory record written to {path}")
-    if args.assert_plan_speedup is not None:
-        ratio = record["speedups"]["synthetic_plan_vs_batch_jobs1"]
-        if ratio < args.assert_plan_speedup:
-            print(
-                f"error: plan path speedup {ratio:.2f}x is below the "
-                f"required {args.assert_plan_speedup:.2f}x",
-                file=sys.stderr,
+    for gate in GATES:
+        threshold = getattr(args, gate.flag[2:].replace("-", "_"))
+        if threshold is None:
+            continue
+        value = record[gate.section].get(gate.key)
+        if value is None:
+            raise BenchmarkError(
+                f"cannot check {gate.flag}: this run recorded no "
+                f"{gate.section}.{gate.key} (its phase needs NumPy)"
             )
-            return 1
-        print(
-            f"plan path speedup {ratio:.2f}x meets the required "
-            f"{args.assert_plan_speedup:.2f}x"
+        shown = f"{gate.label} {value:.2f}{gate.unit}"
+        bound = f"{threshold:.2f}{gate.unit}"
+        if gate.at_least and value < threshold:
+            raise BenchmarkError(f"{shown} is below the required {bound}")
+        if not gate.at_least and value > threshold:
+            raise BenchmarkError(f"{shown} is above the allowed {bound}")
+        verdict = (
+            "meets the required" if gate.at_least else "is within the allowed"
         )
-    if args.assert_incremental_speedup is not None:
-        ratio = record["speedups"]["incremental_vs_rebuild"]
-        if ratio < args.assert_incremental_speedup:
-            print(
-                f"error: incremental ECO speedup {ratio:.2f}x is below "
-                f"the required {args.assert_incremental_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"incremental ECO speedup {ratio:.2f}x meets the required "
-            f"{args.assert_incremental_speedup:.2f}x"
-        )
-    if args.assert_backend_speedup is not None:
-        ratio = record["speedups"].get("backend_numpy_vs_exact_sweep")
-        if ratio is None:
-            print(
-                "error: --assert-backend-speedup requires the numpy "
-                "backend, which was not available in this run",
-                file=sys.stderr,
-            )
-            return 1
-        if ratio < args.assert_backend_speedup:
-            print(
-                f"error: numpy backend sweep speedup {ratio:.2f}x is "
-                f"below the required {args.assert_backend_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"numpy backend sweep speedup {ratio:.2f}x meets the "
-            f"required {args.assert_backend_speedup:.2f}x"
-        )
-    if args.assert_serve_throughput is not None:
-        rate = record["serve"]["estimates_per_sec"]
-        if rate < args.assert_serve_throughput:
-            print(
-                f"error: serve throughput {rate:.1f} estimates/sec is "
-                f"below the required {args.assert_serve_throughput:.1f}",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"serve throughput {rate:.1f} estimates/sec meets the "
-            f"required {args.assert_serve_throughput:.1f}"
-        )
-    if args.assert_portfolio_speedup is not None:
-        ratio = record["speedups"]["floorplan_portfolio_vs_serial"]
-        if ratio < args.assert_portfolio_speedup:
-            print(
-                f"error: floorplan portfolio speedup {ratio:.2f}x is "
-                f"below the required {args.assert_portfolio_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"floorplan portfolio speedup {ratio:.2f}x meets the "
-            f"required {args.assert_portfolio_speedup:.2f}x"
-        )
-    if args.assert_congestion_overhead is not None:
-        ratio = record["speedups"].get("floorplan_scored_overhead")
-        if ratio is None:
-            print(
-                "error: --assert-congestion-overhead requires the "
-                "floorplan congestion phase, which was not part of "
-                "this run",
-                file=sys.stderr,
-            )
-            return 1
-        if ratio > args.assert_congestion_overhead:
-            print(
-                f"error: routability-scored sweep overhead {ratio:.2f}x "
-                f"exceeds the allowed "
-                f"{args.assert_congestion_overhead:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"routability-scored sweep overhead {ratio:.2f}x is within "
-            f"the allowed {args.assert_congestion_overhead:.2f}x"
-        )
+        print(f"{shown} {verdict} {bound}")
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="mae-bench",
+        description="Run the batch-engine benchmark suite and write the "
+                    "BENCH_batch_engine.json perf-trajectory record.",
+    )
+    add_bench_arguments(parser)
+    args = parser.parse_args(argv)
+    try:
+        run_bench_command(args)
+    except BenchmarkError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

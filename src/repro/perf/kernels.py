@@ -28,12 +28,7 @@ Cache statistics (hits/misses/entries/bypasses per kernel) are exposed
 through :func:`kernel_cache_stats` so benchmarks and long-running
 services can observe hit rates; :func:`set_cache_enabled` /
 :func:`caches_disabled` exist for baseline measurements and
-equivalence tests.  Caches are per-process, but no longer cold-start
-in workers: :func:`snapshot_kernel_caches` /
-:func:`install_kernel_caches` let :mod:`repro.perf.batch` ship the
-parent's entries (and the shared Stirling triangle) through a pool
-initializer, and :mod:`repro.perf.diskcache` persists them across
-processes entirely.
+equivalence tests.
 """
 
 from __future__ import annotations
@@ -163,66 +158,6 @@ def clear_kernel_caches() -> None:
     for kernel in _KERNELS.values():
         kernel.clear()
     _TRIANGLE.clear()
-
-
-def reset_kernel_counters() -> None:
-    """Zero the hit/miss/bypass counters without dropping any entries.
-
-    Pool workers call this after a warm-start install so their reported
-    statistics reflect only the work they actually performed.
-    """
-    for kernel in _KERNELS.values():
-        kernel.hits = 0
-        kernel.misses = 0
-        kernel.bypasses = 0
-
-
-def kernel_counter_totals() -> Tuple[int, int, int]:
-    """Total (hits, misses, bypasses) across every kernel cache."""
-    hits = misses = bypasses = 0
-    for kernel in _KERNELS.values():
-        hits += kernel.hits
-        misses += kernel.misses
-        bypasses += kernel.bypasses
-    return hits, misses, bypasses
-
-
-def snapshot_kernel_caches() -> dict:
-    """A picklable copy of every kernel cache plus the triangle.
-
-    This is what :func:`repro.perf.batch.estimate_batch` ships to pool
-    workers (warm start) and what the on-disk cache
-    (:mod:`repro.perf.diskcache`) serializes.
-    """
-    return {
-        "kernels": {
-            name: dict(kernel.cache) for name, kernel in _KERNELS.items()
-        },
-        "triangle": _TRIANGLE.snapshot(),
-    }
-
-
-def install_kernel_caches(snapshot: dict) -> int:
-    """Merge a :func:`snapshot_kernel_caches` snapshot into this
-    process's caches; returns the number of entries installed.
-
-    Unknown kernel names are rejected (a snapshot from a different code
-    version must fail loudly, not half-install).
-    """
-    kernels = snapshot.get("kernels", {})
-    unknown = set(kernels) - set(_KERNELS)
-    if unknown:
-        raise EstimationError(
-            f"kernel-cache snapshot names unknown kernels {sorted(unknown)}"
-        )
-    installed = 0
-    for name, entries in kernels.items():
-        _KERNELS[name].cache.update(entries)
-        installed += len(entries)
-    triangle = snapshot.get("triangle")
-    if triangle is not None:
-        _TRIANGLE.install(triangle)
-    return installed
 
 
 def cache_enabled() -> bool:
@@ -355,20 +290,6 @@ class _SurjectionTriangle:
             "extensions": self.extensions,
             "cells": len(self._rows) * self._limit,
         }
-
-    def snapshot(self) -> dict:
-        return {
-            "limit": self._limit,
-            "rows": [list(row) for row in self._rows],
-        }
-
-    def install(self, snapshot: dict) -> None:
-        """Adopt a snapshot if it extends what this process already has."""
-        rows = snapshot.get("rows", [])
-        limit = snapshot.get("limit", 0)
-        if len(rows) > len(self._rows) or limit > self._limit:
-            self._rows = [list(row) for row in rows]
-            self._limit = limit
 
 
 _TRIANGLE = _SurjectionTriangle()

@@ -366,9 +366,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="seconds of sustained load (default: 2)")
     parser.add_argument("--seed", type=int, default=0,
                         help="corpus/traffic seed (default: 0)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="engine estimate_batch fan-out for "
-                             "multi-session drains (default: 1)")
     parser.add_argument("--tech", choices=sorted(_PROCESSES),
                         default="nmos",
                         help="process database for every session "
@@ -386,7 +383,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     engine = EstimationEngine(ServiceConfig(
         max_sessions=max(args.sessions + 8, 64),
-        jobs=args.jobs,
     ))
     server = start_server(engine)
     failures: List[str] = []

@@ -487,7 +487,6 @@ def _make_handler(server: MAEServer):
                 return estimate_batch(
                     modules, process, configs,
                     methodologies=(methodology,),
-                    jobs=server.engine.config.jobs,
                 )
 
             results = server.engine.submit_job(job, timeout=_timeout(body))

@@ -21,9 +21,7 @@ from repro.verify.checks import (
     CheckResult,
     check_area_monotone_in_devices,
     check_backend_equivalence,
-    check_batch_jobs,
     check_caches_identity,
-    check_disk_roundtrip,
     check_frontend_accuracy,
     check_incremental_equivalence,
     check_named,
@@ -89,9 +87,7 @@ __all__ = [
     "backend_provenance",
     "check_area_monotone_in_devices",
     "check_backend_equivalence",
-    "check_batch_jobs",
     "check_caches_identity",
-    "check_disk_roundtrip",
     "check_frontend_accuracy",
     "check_incremental_equivalence",
     "check_named",

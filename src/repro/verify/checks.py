@@ -1,20 +1,18 @@
 """Equivalence invariants and metamorphic properties.
 
 Three perf-heavy PRs left the estimator with strong claims — compiled
-plans are "bit-identical" to the direct path, pooled batches are
-"identical at any job count", caches "never change results", tracing is
-"zero cost *and* zero effect" — that were each enforced by a handful of
-hand-written tests.  This module turns every claim into a reusable
-check over an arbitrary module, so the corpus driver can assert them
-across the whole randomized design population.
+plans are "bit-identical" to the direct path, caches "never change
+results", tracing is "zero cost *and* zero effect" — that were each
+enforced by a handful of hand-written tests.  This module turns every
+claim into a reusable check over an arbitrary module, so the corpus
+driver can assert them across the whole randomized design population.
 
 Two kinds of checks:
 
 * **Equivalence invariants** compare two computations that must agree
   *bit for bit* (exact ``==`` on every result field, floats included):
   plan vs direct, caches on vs :func:`caches_disabled`, trace-on vs
-  trace-off, batch ``jobs=1`` vs ``jobs=N``, and a disk-cache
-  round-trip.
+  trace-off, incremental vs rescan, numpy vs exact, served vs direct.
 * **Metamorphic properties** relate outputs across *related inputs*
   where no oracle exists: area is monotone in device count, the row
   sweep is not wildly non-convex, the shared track model never exceeds
@@ -43,7 +41,7 @@ import os
 import random
 import tempfile
 import zlib
-from typing import Any, Callable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Mapping, Optional, Tuple
 
 from repro.core.config import EstimatorConfig
 from repro.core.full_custom import estimate_full_custom
@@ -58,14 +56,7 @@ from repro.layout.annealing import AnnealingSchedule
 from repro.netlist.model import Module
 from repro.netlist.stats import scan_module
 from repro.obs.trace import Tracer, use_tracer
-from repro.perf.batch import estimate_batch
-from repro.perf.diskcache import load_kernel_caches, save_kernel_caches
-from repro.perf.kernels import (
-    caches_disabled,
-    clear_kernel_caches,
-    install_kernel_caches,
-    snapshot_kernel_caches,
-)
+from repro.perf.kernels import caches_disabled
 from repro.perf.plan import get_plan
 from repro.technology.process import ProcessDatabase
 from repro.verify.backend_envelope import (
@@ -191,76 +182,6 @@ def check_trace_identity(
         "trace_identity", False,
         f"tracing changed the result ({_mismatch(untraced, traced)})",
     )
-
-
-def check_batch_jobs(
-    modules: Sequence[Module],
-    process: ProcessDatabase,
-    jobs: int = 2,
-    config: Optional[EstimatorConfig] = None,
-) -> CheckResult:
-    """``estimate_batch`` at ``jobs=1`` vs ``jobs=N``: same estimates,
-    element for element, in submission order."""
-    config = config or EstimatorConfig()
-    serial = estimate_batch(list(modules), process, config, jobs=1)
-    pooled = estimate_batch(list(modules), process, config, jobs=jobs)
-    if len(serial) != len(pooled):
-        return CheckResult(
-            "batch_jobs", False,
-            f"result counts differ: {len(serial)} vs {len(pooled)}",
-        )
-    for one, many in zip(serial, pooled):
-        if _fields(one.estimate) != _fields(many.estimate):
-            return CheckResult(
-                "batch_jobs", False,
-                f"module {one.task.module_name!r}: jobs=1 vs jobs={jobs} "
-                f"({_mismatch(one.estimate, many.estimate)})",
-            )
-    return CheckResult("batch_jobs", True)
-
-
-def check_disk_roundtrip(
-    module: Module,
-    process: ProcessDatabase,
-    config: Optional[EstimatorConfig] = None,
-) -> CheckResult:
-    """Kernel caches survive a save → clear → load cycle with no effect
-    on results, and the reloaded entries equal the saved snapshot.
-
-    The round-trip runs on a fresh cache warmed only by this module, so
-    the check exercises exactly the entries under test and unrelated
-    process-wide cache contents (which may hold huge combinatorial
-    integers that JSON cannot print) never leak into the file.
-    """
-    ambient = snapshot_kernel_caches()
-    handle, path = tempfile.mkstemp(prefix="mae-verify-", suffix=".json")
-    os.close(handle)
-    try:
-        try:
-            clear_kernel_caches()
-            before = estimate_standard_cell(module, process, config)
-            saved = snapshot_kernel_caches()
-            save_kernel_caches(path)
-            clear_kernel_caches()
-            load_kernel_caches(path)
-            after = estimate_standard_cell(module, process, config)
-            reloaded = snapshot_kernel_caches()
-        finally:
-            # Never leave the process cold because the check failed.
-            install_kernel_caches(ambient)
-    finally:
-        os.unlink(path)
-    if reloaded["kernels"] != saved["kernels"]:
-        return CheckResult(
-            "disk_roundtrip", False,
-            "reloaded kernel entries differ from the saved snapshot",
-        )
-    if _fields(before) != _fields(after):
-        return CheckResult(
-            "disk_roundtrip", False,
-            f"round-trip changed the estimate ({_mismatch(before, after)})",
-        )
-    return CheckResult("disk_roundtrip", True)
 
 
 def check_incremental_equivalence(
@@ -809,7 +730,6 @@ def check_frontend_accuracy(
 #: ``Check.applies`` values besides methodology and family names.
 EVERY_CASE = ("*",)
 STANDARD_CELL = ("standard-cell",)
-ONCE_PER_CORPUS = ("corpus",)      # once, over every standard-cell case
 ONCE_PER_SWEEP = ("sweep",)        # once, independent of the corpus
 
 #: Families whose recipes grow prefix-aligned (each planning iteration
@@ -830,8 +750,6 @@ class Case:
     process: ProcessDatabase
     schedule: AnnealingSchedule          # the layout oracles' budget
     bounds: Bounds                       # the envelope the check feeds
-    modules: Tuple[Module, ...] = ()     # ONCE_PER_CORPUS: all of them
-    jobs: int = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -840,8 +758,8 @@ class Check:
 
     name: str
     stage: str                           # equivalence/metamorphic/envelope
-    #: Methodologies or families it runs on, :data:`EVERY_CASE`,
-    #: :data:`ONCE_PER_CORPUS` or :data:`ONCE_PER_SWEEP`.
+    #: Methodologies or families it runs on, :data:`EVERY_CASE` or
+    #: :data:`ONCE_PER_SWEEP`.
     applies: Tuple[str, ...]
     run: Callable[[Case], CheckResult]
     #: Whether a failing module is greedily minimised (a check relating
@@ -886,13 +804,6 @@ CHECKS: Tuple[Check, ...] = (
           envelope="backend"),
     Check("serve_equivalence", "equivalence", STANDARD_CELL,
           _on_module(check_serve_equivalence)),
-    # One pooled batch over every standard-cell module (force_pool
-    # exercises real workers even on one-core hosts).
-    Check("batch_jobs", "equivalence", ONCE_PER_CORPUS,
-          lambda case: check_batch_jobs(
-              case.modules, case.process, jobs=case.jobs)),
-    Check("disk_roundtrip", "equivalence", ONCE_PER_CORPUS,
-          _on_module(check_disk_roundtrip)),
     Check("portfolio_determinism", "equivalence", ("hier",),
           lambda case: check_portfolio_determinism(case.spec, case.process),
           shrinks=False),

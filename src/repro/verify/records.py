@@ -8,10 +8,9 @@ report — or uploaded as a CI artifact — replays with ``mae verify
 check, its detail string, and the shrink outcome (which devices of the
 rebuilt module the failure actually needs).
 
-The file format is versioned JSON, validated loudly on load the same
-way :mod:`repro.perf.diskcache` treats its files: any structural
-problem raises :class:`~repro.errors.VerificationError` rather than
-replaying half a file.
+The file format is versioned JSON, validated loudly on load: any
+structural problem raises :class:`~repro.errors.VerificationError`
+rather than replaying half a file.
 """
 
 from __future__ import annotations

@@ -11,11 +11,11 @@ stage (``verify.corpus`` → ``verify.equivalence`` →
    paper's Table 2 / Table 1 technologies).
 2. **Equivalence**, **metamorphic**, **envelope** — every wanted check
    of the stage runs exactly once per case it applies to (once per
-   corpus or once per sweep for the checks declared so).  Envelope
-   checks compare the estimator against the layout oracles and the
-   committed frontend calibration; checks that feed an envelope
-   return its points, collected into one
-   :class:`~repro.verify.envelope.Envelope` per kind.
+   sweep for the checks declared so).  Envelope checks compare the
+   estimator against the layout oracles and the committed frontend
+   calibration; checks that feed an envelope return its points,
+   collected into one :class:`~repro.verify.envelope.Envelope` per
+   kind.
 3. **Shrink** — every failure is greedily minimised while it still
    reproduces and persisted as a replayable seed record.
 
@@ -51,7 +51,6 @@ from repro.technology.process import ProcessDatabase
 from repro.verify.backend_envelope import backend_provenance
 from repro.verify.checks import (
     CHECKS,
-    ONCE_PER_CORPUS,
     ONCE_PER_SWEEP,
     Case,
     Check,
@@ -79,7 +78,6 @@ class VerifyOptions:
 
     seeds: int = 25
     base_seed: int = 0
-    jobs: int = 2
     #: Envelope kind -> bounds replacing that kind's committed default
     #: (:data:`repro.verify.envelope.KINDS`).
     bounds: Mapping[str, Bounds] = dataclasses.field(default_factory=dict)
@@ -168,13 +166,11 @@ class _Sweep:
             return {}
         return self.options.bounds.get(kind, KINDS[kind].bounds)
 
-    def case(self, check: Check, spec: CaseSpec, module: Optional[Module],
-             modules: Optional[Tuple[Module, ...]] = None) -> Case:
-        if modules is None:
-            modules = () if module is None else (module,)
+    def case(self, check: Check, spec: CaseSpec,
+             module: Optional[Module]) -> Case:
         return Case(
             spec, module, self.processes[spec.methodology], self.schedule,
-            self.bounds(check.envelope), modules, max(2, self.options.jobs),
+            self.bounds(check.envelope),
         )
 
     def cases(self, check: Check,
@@ -188,35 +184,10 @@ class _Sweep:
                 CaseSpec.make("blif", 0, {"fixture": 0}),
             )
             yield self.case(check, spec, None)
-        elif check.applies == ONCE_PER_CORPUS:
-            cells = [
-                (spec, module) for spec, module in built
-                if spec.methodology == "standard-cell"
-            ]
-            if cells:
-                yield self.case(check, *cells[0],
-                                tuple(module for _, module in cells))
         else:
             for spec, module in built:
                 if check.applies_to(spec):
                     yield self.case(check, spec, module)
-
-    def culprits(self, check: Check, case: Case, result: CheckResult,
-                 built: Sequence[Tuple[CaseSpec, Module]]
-                 ) -> List[Tuple[Case, CheckResult]]:
-        """Where a failure is recorded: a corpus-wide failure is
-        re-checked on each case alone, so it shrinks against a module
-        that diverges on its own."""
-        if len(case.modules) <= 1:
-            return [(case, result)]
-        alone = []
-        for spec, module in built:
-            if any(module is member for member in case.modules):
-                single = self.case(check, spec, module)
-                outcome = check.run(single)
-                if not outcome.passed:
-                    alone.append((single, outcome))
-        return alone or [(case, result)]
 
     def record(self, check: Check, case: Case,
                result: CheckResult) -> SeedRecord:
@@ -230,9 +201,9 @@ class _Sweep:
             )
 
             def failing(candidate: Module) -> bool:
-                return not check.run(dataclasses.replace(
-                    case, module=candidate, modules=(candidate,)
-                )).passed
+                return not check.run(
+                    dataclasses.replace(case, module=candidate)
+                ).passed
 
             try:
                 shrunk = shrink_module(case.module, failing, budget).module
@@ -310,10 +281,7 @@ def run_verify(options: Optional[VerifyOptions] = None) -> VerifyReport:
                             result.point
                         )
                     if not result.passed:
-                        failed.extend(
-                            (check, *culprit) for culprit in
-                            sweep.culprits(check, case, result, built)
-                        )
+                        failed.append((check, case, result))
             if tracer.enabled:
                 span.set("checks", runs)
 

@@ -7,6 +7,14 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.errors import VerificationError
+from repro.verify import (
+    SeedRecord,
+    draw_corpus,
+    load_records,
+    replay_records,
+    save_records,
+)
 from repro.verify.envelope import load_envelope
 
 
@@ -79,6 +87,19 @@ class TestVerifyCommand:
         with perturbed_standard_cell(1.3):
             assert main(["verify", "--replay", str(records)]) == 1
         assert "still reproduce" in capsys.readouterr().err
+
+    def test_replay_of_a_removed_check_names_it(self, tmp_path, capsys):
+        """A record file naming a check that no longer exists replays
+        to a typed error naming that check, not a KeyError."""
+        records = tmp_path / "old.json"
+        save_records(records, [SeedRecord(
+            spec=draw_corpus(1)[0], check="batch_jobs", stage="equivalence",
+        )])
+        with pytest.raises(VerificationError,
+                           match="unknown check 'batch_jobs'"):
+            replay_records(load_records(records))
+        assert main(["verify", "--replay", str(records)]) == 1
+        assert "unknown check 'batch_jobs'" in capsys.readouterr().err
 
     def test_deterministic_base_seed(self, tmp_path):
         reports = []

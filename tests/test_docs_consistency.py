@@ -10,9 +10,10 @@ Cheap invariants that rot silently otherwise:
   table exactly — no phantom endpoints, no undocumented ones;
 * ``docs/TESTING.md``'s check table matches the verify registry
   (``repro.verify.checks.CHECKS``) the same way;
-* every ``--flag`` shown next to a ``mae <subcommand>`` invocation in
-  the README or ``docs/*.md`` exists on that subcommand's argparse
-  parser (or the global parser).
+* every ``--flag`` shown next to a ``mae <subcommand>`` (or ``python -m
+  repro.cli``, ``mae-bench``, ``python -m repro.perf.bench``)
+  invocation in the README, ``docs/*.md``, the CI workflow or the
+  verify skill notes exists on the parser that command reads.
 """
 
 from __future__ import annotations
@@ -128,33 +129,117 @@ def _option_strings(parser):
     return strings
 
 
+#: A documented invocation: ``mae`` or ``python -m repro.cli`` (group 1,
+#: the mae parser), or one of the bench's own entry points (group 2,
+#: the bench parser ``mae bench`` shares).
+_COMMAND = re.compile(
+    r"\b(?:(mae|python -m repro\.cli)|(mae-bench|python -m repro\.perf\.bench"
+    r"|benchmarks/run_benchmarks\.py))(?![\w.-])"
+)
+_FLAG = re.compile(r"--[a-z][a-z0-9-]+")
+
+
+def _logical_lines(path):
+    """The file's lines, with each folded YAML ``run: >`` block joined
+    into the one command line it runs."""
+    lines = path.read_text().splitlines()
+    index = 0
+    while index < len(lines):
+        line = lines[index]
+        index += 1
+        if path.suffix != ".yml" or not re.match(r"\s*(- )?run: >-?\s*$",
+                                                 line):
+            yield line
+            continue
+        indent = len(line) - len(line.lstrip())
+        block = []
+        while index < len(lines) and (
+            not lines[index].strip()
+            or len(lines[index]) - len(lines[index].lstrip()) > indent
+        ):
+            block.append(lines[index].strip())
+            index += 1
+        yield " ".join(block)
+
+
+def _mae_problems(segment, global_actions, subparsers):
+    """What is wrong with the flags of one ``mae ...`` invocation:
+    global flags before the subcommand are checked against the global
+    parser, the rest against the subcommand's parser (or globally)."""
+    tokens = segment.split()
+    index = 0
+    while index < len(tokens) and tokens[index].startswith("--"):
+        flag = _FLAG.match(tokens[index])
+        action = global_actions.get(flag.group(0)) if flag else None
+        if action is None:
+            return [f"'mae' has no global flag {tokens[index]}"]
+        takes_value = action.nargs != 0 and "=" not in tokens[index]
+        index += 2 if takes_value else 1
+    command = (
+        re.match(r"[a-z][a-z0-9-]*", tokens[index])
+        if index < len(tokens) else None
+    )
+    if not command or command.group(0) not in subparsers:
+        return []
+    name = command.group(0)
+    known = set(global_actions) | _option_strings(subparsers[name])
+    return [
+        f"'mae {name}' has no flag {flag}"
+        for flag in _FLAG.findall(" ".join(tokens[index + 1:]))
+        if flag not in known
+    ]
+
+
 def test_documented_cli_flags_exist():
-    """Any ``--flag`` on a documented ``mae <subcommand>`` line must be
-    registered on that subcommand's parser (or globally) — catches docs
-    drift when flags are renamed or removed."""
+    """Any ``--flag`` on a documented ``mae`` / ``python -m repro.cli``
+    line must be registered on that subcommand's parser (or globally,
+    where global flags may also sit between ``mae`` and the
+    subcommand); any flag on a ``mae-bench`` / ``python -m
+    repro.perf.bench`` line must be on the bench parser.  Covers the
+    README, ``docs/*.md``, the CI workflow (folded ``run: >`` blocks
+    joined) and the verify skill notes — catches docs drift when flags
+    are renamed or removed."""
+    from repro.perf.bench import add_bench_arguments
+
     parser = build_parser()
     subparsers = None
     for action in parser._subparsers._group_actions:
         if isinstance(action, argparse._SubParsersAction):
             subparsers = action.choices
-    global_flags = _option_strings(parser)
+    global_actions = {
+        option: action
+        for action in parser._actions
+        for option in action.option_strings
+    }
+    bench = argparse.ArgumentParser()
+    add_bench_arguments(bench)
+    bench_flags = _option_strings(bench)
     sources = [REPO_ROOT / "README.md"]
     sources += sorted((REPO_ROOT / "docs").glob("*.md"))
+    sources += [
+        REPO_ROOT / ".github" / "workflows" / "ci.yml",
+        REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+    ]
     problems = []
     for path in sources:
-        for line in path.read_text().splitlines():
-            match = re.search(r"\bmae\s+([a-z][a-z0-9-]*)", line)
-            if not match or match.group(1) not in subparsers:
-                continue
-            known = global_flags | _option_strings(
-                subparsers[match.group(1)]
-            )
-            for flag in re.findall(r"--[a-z][a-z0-9-]+", line):
-                if flag not in known:
-                    problems.append(
-                        f"{path.name}: 'mae {match.group(1)}' has no "
-                        f"flag {flag}: {line.strip()!r}"
-                    )
+        for line in _logical_lines(path):
+            matches = list(_COMMAND.finditer(line))
+            for match, following in zip(matches, matches[1:] + [None]):
+                segment = line[match.end():
+                               following.start() if following else None]
+                if match.group(1):
+                    found = _mae_problems(segment, global_actions,
+                                          subparsers)
+                else:
+                    found = [
+                        f"{match.group(2)} has no flag {flag}"
+                        for flag in _FLAG.findall(segment)
+                        if flag not in bench_flags
+                    ]
+                problems += [
+                    f"{path.name}: {problem}: {line.strip()!r}"
+                    for problem in found
+                ]
     assert not problems, "\n".join(problems)
 
 

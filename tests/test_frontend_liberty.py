@@ -2,8 +2,7 @@
 
 Every malformed-input case must raise a typed
 :class:`~repro.errors.FrontendError` *before* any library or module
-state is constructed or mutated — the KernelCacheError pattern for
-external artifacts.
+state is constructed or mutated.
 """
 
 from __future__ import annotations

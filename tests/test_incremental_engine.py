@@ -276,7 +276,7 @@ class TestStaleStatistics:
             get_plan(stale, cmos, engine.config,
                      expected_version=engine.stats_version)
 
-    def test_current_snapshot_plans_fine(self, engine, cmos):
+    def test_current_snapshot_still_plans(self, engine, cmos):
         engine.apply(DisconnectTerminal("inv2", "i"))
         plan = get_plan(engine.statistics(), cmos, engine.config,
                         expected_version=engine.stats_version)

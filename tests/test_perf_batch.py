@@ -3,16 +3,17 @@
 The load-bearing guarantee: the kernel cache and the batch executor are
 *transparent* — every estimate they produce is bit-identical (dataclass
 equality on float-carrying results) to the per-call seed path, over the
-real paper suites, at any ``jobs`` value, with caches on or off.
+real paper suites, with caches on or off.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import EstimatorConfig
 from repro.core.full_custom import estimate_full_custom
-from repro.core.standard_cell import estimate_standard_cell, sweep_rows
+from repro.core.standard_cell import estimate_standard_cell
 from repro.errors import BenchmarkError, EstimationError
 from repro.perf import (
     caches_disabled,
@@ -21,6 +22,7 @@ from repro.perf import (
 )
 from repro.perf.batch import BATCH_METHODOLOGIES, estimate_batch
 from repro.perf.bench import (
+    SCHEMA_VERSION,
     load_bench_record,
     run_bench,
     synthetic_sweep_modules,
@@ -39,7 +41,7 @@ def nmos():
 class TestBatchEquivalence:
     """estimate_batch must reproduce the per-call estimators exactly."""
 
-    def test_table2_suite_jobs4_bit_identical(self, nmos):
+    def test_table2_suite_bit_identical(self, nmos):
         cases = table2_suite()
         batch = estimate_batch(
             [case.module for case in cases],
@@ -47,7 +49,6 @@ class TestBatchEquivalence:
             [[EstimatorConfig(rows=rc) for rc in case.row_counts]
              for case in cases],
             methodologies=("standard-cell",),
-            jobs=4,
         )
         cursor = iter(batch)
         for case in cases:
@@ -59,7 +60,7 @@ class TestBatchEquivalence:
         with pytest.raises(StopIteration):
             next(cursor)
 
-    def test_table1_suite_jobs4_bit_identical(self, nmos):
+    def test_table1_suite_bit_identical(self, nmos):
         cases = table1_suite()
         configs = [
             EstimatorConfig().with_(device_area_mode="exact"),
@@ -70,7 +71,6 @@ class TestBatchEquivalence:
             nmos,
             configs,
             methodologies=("full-custom",),
-            jobs=4,
         )
         cursor = iter(batch)
         for case in cases:
@@ -87,18 +87,6 @@ class TestBatchEquivalence:
             uncached = estimate_standard_cell(module, nmos, config)
         assert cached == uncached
 
-    def test_jobs1_equals_jobs4(self, nmos):
-        modules = synthetic_sweep_modules(6)
-        configs = [EstimatorConfig(rows=rows) for rows in (2, 5, 8)]
-        serial = estimate_batch(modules, nmos, configs, jobs=1)
-        pooled = estimate_batch(modules, nmos, configs, jobs=4)
-        assert serial == pooled
-
-    def test_sweep_rows_jobs_identical(self, nmos):
-        module = table2_suite()[0].module
-        assert sweep_rows(module, nmos, (2, 4, 6)) == sweep_rows(
-            module, nmos, (2, 4, 6), jobs=4
-        )
 
 
 class TestBatchShape:
@@ -132,12 +120,6 @@ class TestBatchShape:
             estimate_batch(
                 synthetic_sweep_modules(1), nmos, EstimatorConfig(),
                 methodologies=("gate-array",),
-            )
-
-    def test_rejects_bad_jobs(self, nmos):
-        with pytest.raises(EstimationError):
-            estimate_batch(
-                synthetic_sweep_modules(1), nmos, EstimatorConfig(), jobs=0
             )
 
     def test_rejects_mismatched_per_module_configs(self, nmos):
@@ -193,10 +175,42 @@ class TestKernelCache:
                 assert s.hit_rate == s.hits / (s.hits + s.misses)
 
 
+HEAD_RECORD = Path(__file__).resolve().parent.parent / "BENCH_batch_engine.json"
+
+
+def test_committed_head_is_a_full_current_record():
+    """The committed trajectory head is a full-size run at the current
+    schema; smoke runs are for CI only."""
+    record = load_bench_record(HEAD_RECORD)
+    assert record["schema_version"] == SCHEMA_VERSION
+    assert record["smoke"] is False
+
+
+def test_mae_bench_and_mae_bench_script_share_the_gates(
+    tmp_path, monkeypatch, capsys
+):
+    """Both entry points parse the same flags and apply the same gates
+    (the bench run itself is replaced by the committed head)."""
+    import repro.perf.bench as bench
+    from repro.cli import main as mae
+
+    head = load_bench_record(HEAD_RECORD)
+    del head["history"]
+    monkeypatch.setattr(bench, "run_bench", lambda **kwargs: dict(head))
+    output = ["--output", str(tmp_path / "bench.json"), "--modules", "8"]
+    for entry, prefix in ((mae, ["bench"]), (bench.main, [])):
+        assert entry(prefix + output + ["--assert-plan-speedup", "1.0"]) == 0
+        assert "meets the required 1.00x" in capsys.readouterr().out
+        assert entry(
+            prefix + output + ["--assert-congestion-overhead", "0.5"]
+        ) == 1
+        assert "is above the allowed 0.50x" in capsys.readouterr().err
+
+
 class TestBenchRecord:
     @pytest.fixture(scope="class")
     def record(self):
-        return run_bench(jobs=2, smoke=True)
+        return run_bench(smoke=True)
 
     def test_smoke_record_validates(self, record):
         validate_bench_record(record)

@@ -69,6 +69,11 @@ class TestConfig:
         with pytest.raises(FloorplanError):
             PortfolioConfig(aspect_target=0.0)
 
+    def test_jobs_must_be_one(self):
+        assert PortfolioConfig(jobs=1).jobs == 1
+        with pytest.raises(FloorplanError, match="jobs must be 1"):
+            PortfolioConfig(jobs=2)
+
 
 class TestDeterminism:
     def test_same_seed_replays_bit_identically(self, design, cmos, config):

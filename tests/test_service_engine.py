@@ -51,7 +51,7 @@ def module():
 class TestServiceConfig:
     @pytest.mark.parametrize("field,value", [
         ("max_sessions", 0), ("queue_limit", 0), ("coalesce_limit", 0),
-        ("request_timeout", 0.0), ("jobs", 0),
+        ("request_timeout", 0.0),
     ])
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ServiceError):
@@ -184,10 +184,10 @@ class TestEstimateBitIdentity:
                 )
                 assert _fields(served) == _fields(direct)
 
-    def test_jobs2_batch_route_identical(self, nmos):
-        """A multi-session drain through estimate_batch (jobs > 1)
-        serves the same bits as the per-session path."""
-        engine = EstimationEngine(ServiceConfig(jobs=2))
+    def test_multi_session_drain_identical(self, nmos):
+        """A drain coalescing requests from three sessions serves the
+        same bits as direct estimation."""
+        engine = EstimationEngine(ServiceConfig())
         try:
             modules = [
                 random_gate_module(f"svc_batch_{i}", gates=30, inputs=5,
@@ -196,7 +196,7 @@ class TestEstimateBitIdentity:
             ]
             sessions = [engine.create_session(m, nmos) for m in modules]
             # Park the dispatcher so all requests coalesce into one
-            # drain, forcing the estimate_batch route.
+            # drain.
             engine._dispatch_gate.clear()
             results = {}
 
@@ -212,9 +212,6 @@ class TestEstimateBitIdentity:
             engine._dispatch_gate.set()
             for t in threads:
                 t.join()
-            assert engine.service_stats()["requests"].get(
-                "batch_dispatches", 0
-            ) >= 1
             for index, module in enumerate(modules):
                 direct = estimate_standard_cell(
                     module, nmos, EstimatorConfig()

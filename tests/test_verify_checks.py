@@ -8,9 +8,7 @@ from repro.errors import EstimationError
 from repro.verify.checks import (
     check_area_monotone_in_devices,
     check_backend_equivalence,
-    check_batch_jobs,
     check_caches_identity,
-    check_disk_roundtrip,
     check_incremental_equivalence,
     check_plan_vs_direct,
     check_row_sweep_sanity,
@@ -33,7 +31,7 @@ def registered_checks(module, process, methodology):
     family = "random" if methodology == "standard-cell" else "random_nmos"
     case = Case(
         CaseSpec.make(family, 0, {}), module, process,
-        verification_schedule(), {}, (module,),
+        verification_schedule(), {},
     )
     return [
         check.run(case) for check in CHECKS
@@ -59,12 +57,6 @@ class TestEquivalenceChecks:
         assert "plan_vs_direct" not in names
         assert "row_sweep_sanity" not in names
         assert all(result.passed for result in results)
-
-    def test_batch_jobs(self, module, cmos):
-        assert check_batch_jobs([module], cmos, jobs=2).passed
-
-    def test_disk_roundtrip(self, module, cmos):
-        assert check_disk_roundtrip(module, cmos).passed
 
     def test_plan_vs_direct_catches_injection(self, module, cmos):
         with perturbed_standard_cell(1.2):

@@ -17,7 +17,6 @@ from repro.errors import VerificationError
 from repro.obs.trace import Tracer, use_tracer
 from repro.verify.checks import (
     CHECKS,
-    ONCE_PER_CORPUS,
     ONCE_PER_SWEEP,
     check_named,
 )
@@ -191,11 +190,11 @@ class TestCheckFilter:
 
     def test_wants_defaults_to_all(self):
         options = VerifyOptions(seeds=1)
-        assert options.wants(check_named("batch_jobs"))
+        assert options.wants(check_named("incremental_equivalence"))
         assert options.wants(check_named("envelope"))
         filtered = VerifyOptions(seeds=1, checks=("plan_vs_direct",))
         assert filtered.wants(check_named("plan_vs_direct"))
-        assert not filtered.wants(check_named("batch_jobs"))
+        assert not filtered.wants(check_named("incremental_equivalence"))
 
     def test_skip_envelope_drops_only_envelope_checks(self):
         options = VerifyOptions(seeds=1, check_envelope=False)
@@ -257,13 +256,10 @@ class TestRegistryCalls:
         for check in CHECKS:
             if check.stage == "envelope":
                 continue
-            if check.applies == ONCE_PER_CORPUS:
-                expected[check.name] = 1
-            else:
-                assert check.applies != ONCE_PER_SWEEP
-                expected[check.name] = sum(
-                    1 for spec in specs if check.applies_to(spec)
-                )
+            assert check.applies != ONCE_PER_SWEEP
+            expected[check.name] = sum(
+                1 for spec in specs if check.applies_to(spec)
+            )
         expected = {name: n for name, n in expected.items() if n}
         assert Counter(name for name, _ in calls) == expected
         assert {
