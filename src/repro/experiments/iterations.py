@@ -26,8 +26,8 @@ from repro.floorplan.shapes import Shape, ShapeList
 from repro.layout.annealing import AnnealingSchedule, timberwolf_1988_schedule
 from repro.layout.standard_cell_flow import layout_standard_cell
 from repro.netlist.model import Module
-from repro.netlist.stats import scan_module
-from repro.perf.plan import EstimationPlan, get_plan
+from repro.perf.batch import estimate_batch
+from repro.perf.plan import EstimationPlan
 from repro.reporting import render_table
 from repro.technology.libraries import nmos_process
 from repro.technology.process import ProcessDatabase
@@ -103,68 +103,42 @@ def run_iteration_experiment(
     oracle_schedule: Optional[AnnealingSchedule] = None,
     tolerance: float = 0.05,
     seed: int = 0,
-    estimate_source: str = "planned",
 ) -> IterationComparison:
     """Run the loop with both estimate providers.
 
-    ``estimate_source`` picks what backs the paper-estimator side:
-    ``"planned"`` (default) compiles one static plan per module;
-    ``"incremental"`` runs live
-    :class:`repro.incremental.IncrementalEstimateProvider` engines —
-    the ECO-ready path, which must produce the identical trajectory on
-    an unedited netlist (asserted by the test suite).
+    One :func:`~repro.perf.batch.estimate_batch` call scans each module
+    once and compiles its plan; the layout oracle runs at each
+    estimate's row count, and the same plans back the paper-estimator
+    side through :class:`PlannedEstimateProvider`.
     """
-    if estimate_source not in ("planned", "incremental"):
-        raise FloorplanError(
-            f"unknown estimate_source {estimate_source!r} "
-            "(expected 'planned' or 'incremental')"
-        )
     process = process or nmos_process()
     modules = list(modules) if modules is not None else default_chip_modules()
     config = config or EstimatorConfig()
     oracle_schedule = oracle_schedule or timberwolf_1988_schedule()
-    by_name: Dict[str, Module] = {m.name: m for m in modules}
-    if len(by_name) != len(modules):
+    if len({m.name for m in modules}) != len(modules):
         raise FloorplanError("module names must be unique")
 
     # Ground truth: one real layout per module at its estimator-chosen
-    # row count.  Each module is scanned once and compiled into a plan;
-    # the same plan then serves as the loop's estimate provider.
+    # row count.
     truths: Dict[str, Shape] = {}
     plans: Dict[str, EstimationPlan] = {}
     cell_areas: Dict[str, float] = {}
-    for name, module in by_name.items():
-        stats = scan_module(
-            module,
-            device_width=process.device_width,
-            device_height=process.device_height,
-            port_width=config.port_pitch_override or process.port_pitch,
-            power_nets=config.power_nets,
-        )
-        # get_plan, not compile_plan: the loop's plans join the shared
-        # cache, so a later candidate ranking (or portfolio run) over
-        # the same modules reuses them instead of recompiling.
-        plans[name] = get_plan(stats, process, config)
-        estimate = plans[name].evaluate(config.rows)
-        cell_areas[name] = estimate.cell_area
+    for module, result in zip(
+        modules, estimate_batch(modules, process, config)
+    ):
+        estimate = result.estimate
+        plans[module.name] = result.plan
+        cell_areas[module.name] = estimate.cell_area
         layout = layout_standard_cell(
             module, process, rows=estimate.rows, seed=seed,
             schedule=oracle_schedule, config=config,
         )
-        truths[name] = Shape(layout.width, layout.height)
+        truths[module.name] = Shape(layout.width, layout.height)
 
-    names = tuple(sorted(by_name))
-    if estimate_source == "incremental":
-        from repro.incremental.provider import IncrementalEstimateProvider
-
-        estimates = IncrementalEstimateProvider.from_modules(
-            modules, process, config, rows=config.rows
-        )
-    else:
-        estimates = PlannedEstimateProvider(plans, rows=config.rows)
+    names = tuple(sorted(plans))
     with_estimator = run_iteration_loop(
         names,
-        estimates=estimates,
+        estimates=PlannedEstimateProvider(plans, rows=config.rows),
         truths=lambda name: truths[name],
         tolerance=tolerance,
         seed=seed,

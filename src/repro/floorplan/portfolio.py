@@ -20,12 +20,12 @@ by racing a *portfolio* of searchers over a shared estimate table:
 
 The perf story is the hot path.  The ``portfolio`` engine prefills the
 table through :func:`repro.perf.batch.estimate_batch` (one scan per
-module), serves misses through a per-module
-:class:`repro.incremental.IncrementalEstimator` whose compiled
-:class:`~repro.perf.plan.EstimationPlan` is revision-stamped and reused
-across moves, and runs row windows through the batched NumPy row-sweep
-kernel.  The ``serial`` engine is the before-picture: every query is a
-fresh :func:`~repro.core.standard_cell.estimate_standard_cell` rescan.
+module) and keeps the :class:`~repro.perf.plan.EstimationPlan` each
+prefill estimate came from: the race never edits a module, so that one
+plan serves every table miss (a row window through the batched NumPy
+row-sweep kernel) and every routability price for the whole run.  The
+``serial`` engine is the before-picture: every query is a fresh
+:func:`~repro.core.standard_cell.estimate_standard_cell` rescan.
 Both engines produce **bit-identical trajectories** (the plan-vs-direct
 and backend-equivalence invariants), which is itself a verify gate.
 
@@ -58,11 +58,10 @@ from repro.core.config import EstimatorConfig
 from repro.core.results import StandardCellEstimate
 from repro.core.standard_cell import estimate_standard_cell
 from repro.errors import CheckpointError, FloorplanError, VerificationError
-from repro.incremental import IncrementalEstimator
 from repro.netlist import scan_module
 from repro.obs import current_tracer
 from repro.perf.batch import estimate_batch
-from repro.perf.plan import compile_plan, get_plan, plan_cache_stats
+from repro.perf.plan import EstimationPlan, compile_plan, plan_cache_stats
 from repro.technology import ProcessDatabase
 from repro.workloads.designs import HierarchicalDesign
 
@@ -231,10 +230,11 @@ class CompiledEstimateServer:
     """The hot path: shared table over batch-prefilled compiled plans.
 
     ``prefill`` runs one default-config estimate per module through
-    :func:`estimate_batch`.  Every later miss builds at most one
-    :class:`IncrementalEstimator` per module — one scan for the life of
-    the run — and row windows around the missed count are evaluated in
-    one batched plan sweep, so steady-state moves are pure table hits.
+    :func:`estimate_batch` and keeps the plan each estimate came from,
+    the one object per module for the life of the run.  A miss
+    evaluates the row window around the missed count in one batched
+    ``evaluate_rows`` sweep of that plan, so steady-state moves are
+    pure table hits.
     """
 
     engine_name = "portfolio"
@@ -249,13 +249,11 @@ class CompiledEstimateServer:
         self._process = process
         self._config = config
         self._table: Dict[Tuple[str, int], StandardCellEstimate] = {}
-        self._engines: Dict[str, IncrementalEstimator] = {}
+        self._plans: Dict[str, EstimationPlan] = {}
         self._capacity, _ = resolve_channel_capacity(process)
         self._routability: Dict[Tuple[str, int], float] = {}
-        self._plans: Dict[str, object] = {}
         self.evaluations = 0
         self.table_hits = 0
-        self.table_misses = 0
 
     def prefill(self) -> Dict[str, int]:
         leaves = list(self._modules.values())
@@ -270,6 +268,7 @@ class CompiledEstimateServer:
             estimate = result.estimate
             initial[estimate.module_name] = estimate.rows
             self._table[(estimate.module_name, estimate.rows)] = estimate
+            self._plans[estimate.module_name] = result.plan
         self.evaluations += len(results)
         return initial
 
@@ -283,64 +282,34 @@ class CompiledEstimateServer:
         if cached is not None:
             self.table_hits += 1
             return cached
-        self.table_misses += 1
-        engine = self._engine(name)
         window = _spread_around(
             rows,
             2 * self._config.row_window + 1,
             self._config.estimator.max_rows,
         )
         window = [r for r in window if (name, r) not in self._table]
-        for estimate in engine.estimate_rows(window):
+        for estimate in self._plans[name].evaluate_rows(window):
             self._table[(name, estimate.rows)] = estimate
         self.evaluations += len(window)
         return self._table[(name, rows)]
 
-    def _engine(self, name: str) -> IncrementalEstimator:
-        engine = self._engines.get(name)
-        if engine is None:
-            engine = IncrementalEstimator(
-                self._modules[name],
-                self._process,
-                self._config.estimator,
-                copy_module=False,
-                backend=self._config.backend,
-            )
-            self._engines[name] = engine
-        return engine
-
     def routability(self, name: str, rows: int) -> float:
         """P(no channel overflows) for ``name`` at ``rows``, memoized.
 
-        Served through the module's compiled plan
+        Served through the module's prefill plan
         (:meth:`~repro.perf.plan.EstimationPlan.evaluate_congestion`),
-        so the race prices congestion from the same cached histograms
-        as the area estimates; bit-identical to the serial server
-        because the plan's histogram equals a fresh rescan's and the
-        downstream arithmetic is shared.
+        so the race prices congestion from the same histogram as the
+        area estimates; bit-identical to the serial server because the
+        plan's histogram equals a fresh rescan's and the downstream
+        arithmetic is shared.
         """
         key = (name, rows)
         cached = self._routability.get(key)
         if cached is not None:
             return cached
-        plan = self._plans.get(name)
-        if plan is None:
-            # One plan lookup per module: the race never edits modules,
-            # so the engine's statistics are stable for the whole run
-            # and the plan its estimate path just used (``last_plan``)
-            # is exactly what ``get_plan`` would return.
-            engine = self._engine(name)
-            plan = engine.last_plan
-            if plan is None:
-                plan = get_plan(
-                    engine.statistics(),
-                    self._process,
-                    self._config.estimator,
-                    expected_version=engine.stats_version,
-                    backend=self._config.backend,
-                )
-            self._plans[name] = plan
-        value = plan.evaluate_congestion(rows, self._capacity).routability
+        value = self._plans[name].evaluate_congestion(
+            rows, self._capacity
+        ).routability
         self._routability[key] = value
         return value
 
@@ -698,6 +667,21 @@ def _validate_checkpoint(payload: object, context: str) -> None:
                 )
 
 
+def _checkpoint_value_ok(key: str, value: object, max_rows: int) -> bool:
+    """Whether one module's checkpointed value is usable: a row count
+    in ``[1, max_rows]``, or a finite positive aspect target."""
+    if isinstance(value, bool):
+        return False
+    if key != "targets":
+        return isinstance(value, int) and 1 <= value <= max_rows
+    if not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value) and value > 0
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _restore_states(
     payload: Mapping[str, object],
     engine_name: str,
@@ -728,6 +712,7 @@ def _restore_states(
             f"{sorted(config.searchers)}"
         )
     names = {leaf.name for leaf in design.leaves}
+    max_rows = config.estimator.max_rows
     states: List[_SearcherState] = []
     for searcher in config.searchers:
         entry = searchers[searcher]
@@ -737,6 +722,17 @@ def _restore_states(
                     f"checkpoint searcher {searcher!r}: {key!r} does not "
                     "cover the design's modules"
                 )
+            wanted = (
+                "a finite number > 0" if key == "targets"
+                else f"an integer in [1, {max_rows}]"
+            )
+            for module in sorted(entry[key]):
+                value = entry[key][module]
+                if not _checkpoint_value_ok(key, value, max_rows):
+                    raise CheckpointError(
+                        f"checkpoint searcher {searcher!r}: {key!r} value "
+                        f"{value!r} for module {module!r} is not {wanted}"
+                    )
         if not 0 <= entry["step"] <= config.steps:
             raise CheckpointError(
                 f"checkpoint searcher {searcher!r}: step {entry['step']} "

@@ -1,8 +1,8 @@
 """Delta-aware re-estimation for ECO-style netlist edits.
 
-The floorplan loop and the Section 5 aspect-ratio search re-query the
-estimator on netlists that change only slightly between queries.  This
-package makes those re-queries O(affected nets):
+Service sessions and ``mae eco`` re-query the estimator on netlists
+that change only slightly between queries.  This package makes those
+re-queries O(affected nets):
 
 * :mod:`repro.incremental.mutations` — the six edit kinds as frozen
   ``Mutation`` dataclasses with JSON round-trip (``mae eco`` files).
@@ -12,7 +12,6 @@ package makes those re-queries O(affected nets):
   to a from-scratch rescan (see the module docstring for why).
 * :mod:`repro.incremental.editgen` — deterministic random edit
   sequences for the equivalence suite and the bench.
-* :mod:`repro.incremental.provider` — the C2 loop adapter.
 """
 
 from repro.incremental.engine import (
@@ -39,14 +38,12 @@ from repro.incremental.mutations import (
     mutations_to_jsonable,
     save_mutations,
 )
-from repro.incremental.provider import IncrementalEstimateProvider
 
 __all__ = [
     "AddDevice",
     "ConnectTerminal",
     "DisconnectTerminal",
     "EDITS_SCHEMA_VERSION",
-    "IncrementalEstimateProvider",
     "IncrementalEstimator",
     "MergeNets",
     "Mutation",

@@ -182,17 +182,6 @@ class IncrementalEstimator:
                         tracer.metrics.incr("incremental.apply", applied)
         return self._version
 
-    @property
-    def last_plan(self) -> Optional[EstimationPlan]:
-        """The compiled plan the most recent estimate ran through.
-
-        ``None`` before the first estimate, and potentially stale after
-        :meth:`apply` — callers that hold the module fixed (the
-        floorplan race) can reuse it to skip a redundant plan-cache
-        lookup; anyone else should go through :func:`get_plan`.
-        """
-        return self._last_plan
-
     def estimate(self, rows: Optional[int] = None) -> StandardCellEstimate:
         """The Eq. 12 estimate of the module as it stands now.
 

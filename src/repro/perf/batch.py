@@ -17,7 +17,9 @@ runs serially in this process, bit-identical to per-call estimation.
 Standard-cell tasks evaluate through compiled
 :class:`~repro.perf.plan.EstimationPlan` objects (one compilation per
 module per distinct config family, then one array-at-once evaluation
-per row count).
+per row count), and each result hands back the plan that produced it,
+so a caller that keeps estimating an unedited module (the floorplan
+race, the C2 loop) reuses that one object instead of scanning again.
 
 The sweep helpers (``sweep_rows``, Table 1/2 drivers, the ablations,
 the floorplan prefill) all route through here.
@@ -25,7 +27,7 @@ the floorplan prefill) all route through here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import EstimatorConfig
@@ -36,7 +38,7 @@ from repro.netlist.model import Module
 from repro.netlist.stats import ModuleStatistics, scan_module
 from repro.obs.trace import current_tracer
 from repro.perf.backends import resolve_backend_name
-from repro.perf.plan import get_plan
+from repro.perf.plan import EstimationPlan, get_plan
 from repro.technology.process import ProcessDatabase
 
 #: Methodologies the batch executor understands.
@@ -57,10 +59,16 @@ class BatchTask:
 
 @dataclass(frozen=True)
 class BatchResult:
-    """A task together with its estimate."""
+    """A task together with its estimate.
+
+    ``plan`` is the compiled plan a standard-cell estimate came from
+    (``None`` for full-custom); it takes no part in equality, so
+    results still compare by task and estimate.
+    """
 
     task: BatchTask
     estimate: Estimate
+    plan: Optional[EstimationPlan] = field(default=None, compare=False)
 
 
 def estimate_batch(
@@ -122,6 +130,7 @@ def estimate_batch(
             ))
             for methodology in methodologies:
                 for config in module_configs:
+                    estimate, plan = next(cursor)
                     results.append(
                         BatchResult(
                             task=BatchTask(
@@ -130,7 +139,8 @@ def estimate_batch(
                                 methodology=methodology,
                                 config=config,
                             ),
-                            estimate=next(cursor),
+                            estimate=estimate,
+                            plan=plan,
                         )
                     )
         if tracer.enabled:
@@ -149,9 +159,10 @@ def _run_group(
     methodologies: Tuple[str, ...],
     configs: Tuple[EstimatorConfig, ...],
     backend_name: str,
-) -> List[Estimate]:
-    """All (methodology x config) estimates for one module, sharing
-    one schematic scan per scan signature."""
+) -> List[Tuple[Estimate, Optional[EstimationPlan]]]:
+    """All (methodology x config) estimates for one module, each with
+    the plan that produced it, sharing one schematic scan per scan
+    signature."""
     scans: dict = {}
 
     def stats_for(config: EstimatorConfig) -> ModuleStatistics:
@@ -172,15 +183,16 @@ def _run_group(
                     tracer.metrics.incr("scan.modules")
         return scans[key]
 
-    estimates: List[Estimate] = []
+    estimates: List[Tuple[Estimate, Optional[EstimationPlan]]] = []
     for methodology in methodologies:
         if methodology != "standard-cell":
             for config in configs:
-                estimates.append(
+                estimates.append((
                     estimate_full_custom(
                         module, process, config, stats=stats_for(config)
-                    )
-                )
+                    ),
+                    None,
+                ))
             continue
         # Compiled-plan path: one compilation per (stats, config
         # family), and consecutive configs that differ only in their
@@ -203,10 +215,11 @@ def _run_group(
                     run.append(nxt)
             if len(run) > 1:
                 estimates.extend(
-                    plan.evaluate_rows([c.rows for c in run])
+                    (estimate, plan)
+                    for estimate in plan.evaluate_rows([c.rows for c in run])
                 )
             else:
-                estimates.append(plan.evaluate(config.rows))
+                estimates.append((plan.evaluate(config.rows), plan))
             index += len(run)
     return estimates
 

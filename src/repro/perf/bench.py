@@ -619,8 +619,9 @@ def run_bench(
     # ---- floorplan race: portfolio engine vs the serial loop ---------
     # Identical trajectories by construction (same seed, same searcher
     # code; only the estimate server differs), so the ratio isolates
-    # what the compiled hot path buys: batch-prefilled plans plus
-    # incremental windows versus one fresh scan-and-estimate per query.
+    # what the compiled hot path buys: one batch-prefilled plan per
+    # module, evaluated a row window at a time, versus one fresh
+    # scan-and-estimate per query.
     # A mid-run checkpoint is resumed to completion and must replay the
     # winning trajectory bit-identically.
     import tempfile

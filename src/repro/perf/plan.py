@@ -351,11 +351,10 @@ def get_plan(
 
     ``expected_version`` guards against the stale-stats hazard: callers
     that hold a :class:`~repro.netlist.stats.ModuleStatistics` snapshot
-    across netlist edits (the floorplan loop, the incremental engine)
-    pass the netlist's current revision, and a snapshot taken at any
-    other revision is rejected with :class:`StaleStatisticsError`
-    instead of silently serving a plan for a netlist that no longer
-    exists.  Snapshots without a version (``stats_version is None``)
+    across netlist edits (the incremental engine) pass the netlist's
+    current revision, and a snapshot taken at any other revision is
+    rejected with :class:`StaleStatisticsError` instead of silently
+    serving a plan for a netlist that no longer exists.  Snapshots without a version (``stats_version is None``)
     cannot be validated and are rejected too when a check is requested.
     """
     config = config or EstimatorConfig()

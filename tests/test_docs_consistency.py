@@ -4,6 +4,9 @@ Cheap invariants that rot silently otherwise:
 
 * every module under ``src/repro/`` appears in ``docs/API.md`` (the
   "Module index" section exists exactly so this check is mechanical);
+* every backticked dotted ``repro.`` name in the README, DESIGN.md,
+  EXPERIMENTS.md and ``docs/*.md`` still resolves, so a deleted module
+  or function cannot stay documented;
 * every ``mae`` subcommand registered in :func:`repro.cli.build_parser`
   is mentioned in the README;
 * ``docs/SERVICE.md``'s endpoint list matches the server's ``ROUTES``
@@ -19,6 +22,7 @@ Cheap invariants that rot silently otherwise:
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 from pathlib import Path
 
@@ -56,6 +60,45 @@ def test_every_module_is_documented_in_api_md():
         f"modules missing from docs/API.md: {missing} — add them to the "
         "Module index section"
     )
+
+
+#: A backticked dotted ``repro.`` name, optionally followed by a call
+#: such as ``(modules, process)``.
+_DOTTED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\([^`\n]*\))?`")
+
+
+def _resolves(name):
+    """Whether ``name`` imports as a module, or resolves as an attribute
+    path under its longest importable prefix."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def test_every_documented_repro_name_resolves():
+    sources = [REPO_ROOT / name
+               for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    sources += sorted((REPO_ROOT / "docs").glob("*.md"))
+    documented = {
+        (path.name, match.group(1))
+        for path in sources
+        for match in _DOTTED_NAME.finditer(path.read_text())
+    }
+    # sanity: the scan found the API reference's names
+    assert ("API.md", "repro.perf.batch.estimate_batch") in documented
+    stale = sorted(
+        f"{doc}: {name}" for doc, name in documented if not _resolves(name)
+    )
+    assert not stale, f"documented names that no longer resolve: {stale}"
 
 
 def test_every_cli_subcommand_is_in_readme():

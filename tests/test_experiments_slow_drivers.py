@@ -7,10 +7,15 @@ the fast test suite too.
 
 import pytest
 
-from repro.experiments.iterations import run_iteration_experiment
+from repro.core.config import EstimatorConfig
+from repro.experiments.iterations import (
+    PlannedEstimateProvider,
+    run_iteration_experiment,
+)
 from repro.experiments.runtime import run_runtime_experiment
 from repro.experiments.table2 import format_table2, run_table2
 from repro.layout.annealing import AnnealingSchedule
+from repro.perf.batch import estimate_batch
 from repro.workloads.generators import counter_module, decoder_module
 from repro.workloads.suites import Table2Case
 
@@ -74,6 +79,20 @@ class TestIterationDriver:
             comparison.with_estimator.iterations
             <= comparison.with_naive.iterations
         )
+
+    def test_planned_provider_serves_the_batch_plan(self, nmos):
+        """The loop's estimate source: one cached shape list per module,
+        the batch estimate's footprint plus its rotation."""
+        module = counter_module("it_counter", bits=4)
+        [result] = estimate_batch([module], nmos, EstimatorConfig())
+        provider = PlannedEstimateProvider({module.name: result.plan})
+        shapes = provider(module.name)
+        estimate = result.estimate
+        assert {(s.width, s.height) for s in shapes} == {
+            (estimate.width, estimate.height),
+            (estimate.height, estimate.width),
+        }
+        assert provider(module.name) is shapes
 
     def test_duplicate_names_rejected(self):
         from repro.errors import FloorplanError

@@ -16,6 +16,10 @@ import json
 
 import pytest
 
+from repro.core.candidates import (
+    standard_cell_candidates,
+    standard_cell_candidates_from_stats,
+)
 from repro.core.config import EstimatorConfig
 from repro.core.standard_cell import estimate_standard_cell_from_stats
 from repro.errors import (
@@ -41,6 +45,7 @@ from repro.incremental import (
 from repro.netlist.builder import NetlistBuilder
 from repro.obs.trace import Tracer, use_tracer
 from repro.perf.plan import get_plan
+from repro.workloads.generators import counter_module
 
 _fields = dataclasses.astuple
 
@@ -300,6 +305,29 @@ class TestCopySemantics:
         engine.apply(RemoveDevice("inv3"))
         assert not module.has_device("inv3")
         assert engine.module is module
+
+
+# ----------------------------------------------------------------------
+# aspect-ratio candidates
+# ----------------------------------------------------------------------
+class TestCandidates:
+    def test_candidates_from_maintained_statistics(self, cmos):
+        """The Section 7 row-count spread served from the engine's
+        statistics equals the scan-based search, before and after an
+        edit."""
+        config = EstimatorConfig()
+        engine = IncrementalEstimator(counter_module("cand", bits=4), cmos)
+        for edits in ((), RemoveDevice("ff3")):
+            engine.apply(edits)
+            expected = standard_cell_candidates(
+                engine.module, cmos, config, count=5
+            )
+            served = standard_cell_candidates_from_stats(
+                engine.statistics(), cmos, config, count=5
+            )
+            assert [_fields(c) for c in served] == [
+                _fields(c) for c in expected
+            ]
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ equality on float-carrying results) to the per-call seed path, over the
 real paper suites, with caches on or off.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -108,6 +109,30 @@ class TestBatchShape:
             for rows in (2, 3)
         ]
         assert results[0].task.module_name == modules[0].name
+
+    def test_results_carry_their_plan(self, nmos):
+        """A standard-cell result carries the plan that produced it; a
+        full-custom result carries none; the plan is not compared."""
+        modules = synthetic_sweep_modules(2)
+        configs = [EstimatorConfig(rows=2), EstimatorConfig(rows=3)]
+        results = estimate_batch(
+            modules, nmos, configs, methodologies=BATCH_METHODOLOGIES
+        )
+        for result in results:
+            if result.task.methodology == "full-custom":
+                assert result.plan is None
+            else:
+                assert (result.plan.evaluate(result.estimate.rows)
+                        == result.estimate)
+            assert dataclasses.replace(result, plan=None) == result
+        # Row-only configs run through one plan per module.
+        for index in (0, 1):
+            plans = {
+                id(r.plan) for r in results
+                if r.task.module_index == index
+                and r.task.methodology == "standard-cell"
+            }
+            assert len(plans) == 1
 
     def test_single_config_broadcast(self, nmos):
         modules = synthetic_sweep_modules(2)

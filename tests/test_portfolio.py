@@ -8,11 +8,12 @@ The contract under test is the one the bench and CI gates rely on:
 - same-seed reruns and resume-from-checkpoint replays are bit-identical;
 - corrupt or mismatched resume files raise :class:`CheckpointError`
   *before* any optimizer state is touched;
-- the candidate-ranking helpers accept an injected scan so the shared
-  plan cache sees one compilation per (module, rows) pair.
+- a compiled race keeps the plan its prefill compiled for each leaf:
+  no incremental engine, no plan-cache lookup after the prefill.
 """
 
 import json
+import math
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.floorplan.portfolio import (
     run_portfolio,
     write_checkpoint,
 )
+from repro.incremental import IncrementalEstimator
 from repro.perf.plan import clear_plan_cache, plan_cache_stats
 from repro.workloads.designs import generate_design
 
@@ -225,20 +227,56 @@ class TestCheckpointCorruption:
             run_portfolio(design, cmos, config,
                           resume={**good_payload, "searchers": searchers})
 
+    @pytest.mark.parametrize("field, value", [
+        ("rows", 0),
+        ("rows", -3),
+        ("rows", 999),
+        ("rows", "abc"),
+        ("rows", 2.7),
+        ("rows", True),
+        ("rows", math.nan),
+        ("targets", 0.0),
+        ("targets", -1.0),
+        ("targets", "x"),
+        ("targets", True),
+        ("targets", math.nan),
+        ("best_rows", 999),
+        ("best_rows", True),
+        ("best_rows", math.nan),
+    ])
+    def test_out_of_range_module_value(self, good_payload, design, cmos,
+                                       config, field, value):
+        module = sorted(good_payload["searchers"]["greedy"][field])[0]
+        searchers = {
+            name: {**entry, field: {**entry[field], module: value}}
+            for name, entry in good_payload["searchers"].items()
+        }
+        with pytest.raises(CheckpointError,
+                           match=rf"{field}.*{module}"):
+            run_portfolio(design, cmos, config,
+                          resume={**good_payload, "searchers": searchers})
+
 
 class TestPlanCacheSharing:
-    """Satellite: the optimizer's hot path must reuse the shared plan
-    cache — one compilation per (module, rows) pair, the rest hits."""
+    """A compiled race keeps the plan its prefill compiled for each
+    leaf: no incremental engine, no plan-cache lookup after prefill."""
 
-    def test_portfolio_engine_reuses_plans(self, design, cmos):
+    def test_portfolio_engine_compiles_one_plan_per_leaf(
+        self, design, cmos, monkeypatch
+    ):
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the race built an IncrementalEstimator")
+
+        monkeypatch.setattr(IncrementalEstimator, "__init__", no_engine)
         clear_plan_cache()
         run_portfolio(
             design, cmos,
-            PortfolioConfig(steps=40, seed=3, spot_checks=0),
+            PortfolioConfig(steps=40, seed=3, spot_checks=0,
+                            routability_weight=0.8),
         )
         stats = plan_cache_stats()
         assert stats["compilations"] == stats["entries"]
-        assert stats["hits"] > 0
+        assert stats["hits"] + stats["compilations"] == design.module_count
         assert stats["evaluations"] >= stats["compilations"]
 
 

@@ -14,6 +14,7 @@ import pytest
 from repro.core.config import EstimatorConfig
 from repro.core.full_custom import estimate_full_custom
 from repro.core.standard_cell import estimate_standard_cell
+from repro.experiments.iterations import run_iteration_experiment
 from repro.technology.libraries import nmos_process
 from repro.workloads.suites import table1_suite, table2_suite
 
@@ -98,3 +99,20 @@ class TestProcessPins:
             for n in ("nmos_enh", "nmos_dep", "nmos_pass")
         }
         assert heights == {9.0}
+
+
+class TestIterationPins:
+    """C2: the default five-module chip, estimator vs naive loop."""
+
+    def test_default_chip_trajectory(self):
+        comparison = run_iteration_experiment()
+        paper = comparison.with_estimator
+        assert (paper.iterations, paper.converged) == (1, True)
+        assert paper.final_area == pytest.approx(592_127.33, abs=0.01)
+
+        naive = comparison.with_naive
+        assert (naive.iterations, naive.converged) == (2, True)
+        # Pass 1 misfits every module; pass 2 re-plans from true shapes.
+        assert naive.history[0].misfits == comparison.module_names
+        assert naive.history[1].misfits == ()
+        assert naive.final_area == pytest.approx(278_806.0, abs=0.01)
