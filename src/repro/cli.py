@@ -40,14 +40,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.print_help()
         return 2
     try:
-        from repro.perf.backends import apply_cli_backend
+        from repro.perf.backends import backend_from_environment, use_backend
 
         # Resolve --backend / $MAE_BACKEND once, up front: every
-        # estimator call in the command inherits the selection.  An
-        # explicitly named but unavailable backend fails here with a
-        # clean error.
-        apply_cli_backend(getattr(args, "backend", None))
-        args.handler(args)
+        # estimator call in the command inherits the selection, and the
+        # previous default returns with the command (an in-process
+        # caller keeps its own).  An explicitly named but unavailable
+        # backend fails here with a clean error.
+        requested = getattr(args, "backend", None)
+        with use_backend(requested or backend_from_environment()):
+            args.handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -56,7 +56,7 @@ class StaleStatisticsError(EstimationError):
 class BackendUnavailableError(EstimationError):
     """A kernel evaluation backend was requested explicitly but its
     runtime dependency (NumPy, for the ``numpy`` backend) is not
-    importable.  ``auto`` never raises this — it silently falls back to
+    installed.  ``auto`` never raises this — it silently falls back to
     the dependency-free ``exact`` backend."""
 
 

@@ -92,8 +92,11 @@ def _statements(text: str, filename: str) -> Iterator[Tuple[str, int]]:
             start_line = line
             continue
         buffer.append(char)
-        # 'endmodule' has no terminating semicolon
-        if "".join(buffer).strip().endswith("endmodule"):
+        # 'endmodule' has no terminating semicolon.  A statement can
+        # only end in it as its final 'e' is appended, so only then is
+        # the buffer's tail compared: joining the whole buffer at every
+        # character is quadratic in the statement's length.
+        if char == "e" and "".join(buffer[-9:]) == "endmodule":
             statement = "".join(buffer).strip()
             head = statement[: -len("endmodule")].strip()
             if head:

@@ -18,11 +18,12 @@ cost models:
 
 This module is the registry and the selection state.  Selection is a
 process-wide *default* (``set_default_backend`` /
-``current_backend``), set once by the CLI from ``--backend`` /
-``$MAE_BACKEND``; every planning API also takes an explicit
-``backend=`` override.  ``auto`` resolves to ``numpy`` when NumPy imports and falls
-back to ``exact`` silently otherwise; naming ``numpy`` explicitly on a
-host without NumPy raises :class:`~repro.errors.BackendUnavailableError`.
+``current_backend``), set by the CLI from ``--backend`` /
+``$MAE_BACKEND`` for the length of one command; every planning API
+also takes an explicit ``backend=`` override.  ``auto`` resolves to
+``numpy`` when NumPy is installed and falls back to ``exact`` silently
+otherwise; naming ``numpy`` explicitly on a host without NumPy raises
+:class:`~repro.errors.BackendUnavailableError`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def register_backend(backend) -> None:
 
 
 def available_backends() -> List[str]:
-    """Names of the backends whose dependencies import on this host."""
+    """Names of the backends whose dependencies are installed here."""
     return [
         name for name, backend in sorted(_REGISTRY.items())
         if backend.available
@@ -62,7 +63,7 @@ def resolve_backend_name(name: Optional[str] = None) -> str:
     """Resolve a requested backend name to a registered, available one.
 
     ``None`` means "the process default"; ``auto`` picks ``numpy`` when
-    NumPy is importable and ``exact`` otherwise; an explicit ``numpy``
+    NumPy is installed and ``exact`` otherwise; an explicit ``numpy``
     on a NumPy-less host raises :class:`BackendUnavailableError`.
     """
     if name is None:
@@ -111,8 +112,9 @@ def set_default_backend(name: str) -> str:
 
 
 @contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Run a block with a different process-default backend."""
+def use_backend(name: Optional[str]) -> Iterator[None]:
+    """Run a block with a different process-default backend (``None``
+    keeps the current one)."""
     previous = set_default_backend(name)
     try:
         yield
@@ -124,16 +126,6 @@ def backend_from_environment() -> Optional[str]:
     """The ``$MAE_BACKEND`` request, or ``None`` when unset/empty."""
     value = os.environ.get(BACKEND_ENV_VAR, "").strip()
     return value or None
-
-
-def apply_cli_backend(name: Optional[str]) -> str:
-    """Resolve the CLI's ``--backend`` flag (falling back to
-    ``$MAE_BACKEND``, then the current default) and install it as the
-    process default.  Returns the resolved name."""
-    requested = name if name is not None else backend_from_environment()
-    if requested is not None:
-        set_default_backend(requested)
-    return _STATE["default"]
 
 
 def backend_stats() -> dict:
@@ -160,7 +152,6 @@ __all__ = [
     "BackendUnavailableError",
     "ExactBackend",
     "NumpyBackend",
-    "apply_cli_backend",
     "available_backends",
     "backend_from_environment",
     "backend_stats",

@@ -33,23 +33,26 @@ feed-through mean as array operations instead of per-net scalar loops:
   outputs are *identical* to the exact backend's, and therefore so is
   every derived estimate field.
 
-The module imports cleanly without NumPy; the backend then reports
-``available = False`` and the registry's ``auto`` resolution falls back
-to ``exact``.
+NumPy is imported on the backend's first evaluation, not with the
+module, so a process on the exact backend never loads it.  Without
+NumPy installed the backend reports ``available = False`` and the
+registry's ``auto`` resolution falls back to ``exact``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import EstimationError
 from repro.perf import kernels
 
-try:  # pragma: no cover - exercised via the no-NumPy CI leg
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+#: Stands in for NumPy until the first evaluation imports it.
+_NOT_IMPORTED = object()
+
+#: The ``numpy`` module once imported; ``None`` means NumPy is absent.
+_np = _NOT_IMPORTED
 
 #: ``repro.units.round_up``'s epsilon, mirrored here: a value within
 #: this of an integer rounds to it, anything further above is ceiled.
@@ -152,7 +155,7 @@ class NumpyBackend:
     name = "numpy"
 
     def __init__(self) -> None:
-        self._tables = _LogTables() if _np is not None else None
+        self._tables = _LogTables()
         self._counters = {
             "evaluations": 0,
             "batched_evaluations": 0,
@@ -163,6 +166,9 @@ class NumpyBackend:
 
     @property
     def available(self) -> bool:
+        """Whether NumPy is installed; answered without importing it."""
+        if _np is _NOT_IMPORTED:
+            return importlib.util.find_spec("numpy") is not None
         return _np is not None
 
     # ------------------------------------------------------------------
@@ -455,6 +461,12 @@ class NumpyBackend:
     # ------------------------------------------------------------------
     def _validate(self, rows: int, mode: Optional[str] = None,
                   model: Optional[str] = None) -> None:
+        global _np
+        if _np is _NOT_IMPORTED:
+            try:
+                import numpy as _np
+            except ImportError:  # pragma: no cover - the no-NumPy CI leg
+                _np = None
         if _np is None:
             from repro.errors import BackendUnavailableError
 
@@ -477,8 +489,7 @@ class NumpyBackend:
     def reset(self) -> None:
         """Drop the grown tables and zero the counters (bench phases
         start cold)."""
-        if self._tables is not None:
-            self._tables.clear()
+        self._tables.clear()
         for name in self._counters:
             self._counters[name] = 0
 
@@ -486,10 +497,9 @@ class NumpyBackend:
         tables = self._tables
         return {
             **self._counters,
-            "table_growths": tables.growths if tables is not None else 0,
+            "table_growths": tables.growths,
             "triangle_depth": (
-                0 if tables is None or tables.log_b is None
-                else int(tables.log_b.shape[0])
+                0 if tables.log_b is None else int(tables.log_b.shape[0])
             ),
             "guard": NEAR_INTEGER_GUARD,
         }

@@ -14,18 +14,32 @@ The route table below is the server's public contract;
 
 Status mapping (see :mod:`repro.errors`):
 
-* 400 — malformed JSON, unparseable netlist, bad config/edits
+* 400 — malformed JSON, unparseable netlist, bad config/edits, a
+  malformed ``Content-Length``, or a body that ends before it
 * 404 — unknown route or unknown session
+* 408 — the request body did not arrive within
+  :data:`BODY_READ_TIMEOUT_S`
 * 409 — session limit reached
+* 411 — a chunked request body (send ``Content-Length``)
+* 413 — the declared body exceeds :data:`MAX_BODY_BYTES`
 * 429 — backpressure: the bounded request queue (or the in-flight
   request limiter) is full; retry with backoff
 * 503 — the engine is draining for shutdown
 * 504 — the per-request timeout expired before dispatch
+
+Connections persist (HTTP/1.1 keep-alive): every reply leaves in one
+write on a ``TCP_NODELAY`` socket, so a kept-alive client never waits
+on a delayed ACK.  The body is read before any reply, so an error
+reply leaves the stream on a request boundary.  A reply sent without
+reading the whole body (a malformed length, an oversized, chunked,
+truncated or stalled body, or an in-flight 429) carries
+``Connection: close`` and closes the connection.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -82,11 +96,12 @@ _PARSERS = {"verilog": parse_verilog, "spice": parse_spice}
 
 
 class _HTTPServer(ThreadingHTTPServer):
-    """Threaded server tuned for connection-per-request clients: a
-    deep accept backlog absorbs the simultaneous-connect storm of many
-    sessions (the stdlib default of 5 drops connections at ~20+
-    concurrent clients), and daemon handler threads never block
-    interpreter exit."""
+    """Threaded server, one handler thread per connection: a deep
+    accept backlog absorbs the simultaneous-connect storm of many
+    one-shot clients (the stdlib default of 5 drops connections at
+    ~20+ concurrent clients), and daemon handler threads never block
+    interpreter exit, nor :meth:`MAEServer.stop` on an idle kept-alive
+    connection."""
 
     daemon_threads = True
     request_queue_size = 256
@@ -158,6 +173,18 @@ def _rows_spec(body: dict):
              "list of integers"
     )
 
+
+#: Largest request body the server reads.  A larger declared
+#: ``Content-Length`` gets 413 without its body being read.  Sessions
+#: cost ~52 bytes per gate as Verilog, so this admits ~300k gates.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Deadline for reading one request body once its headers are in.  A
+#: body still short of its ``Content-Length`` then gets 408,
+#: so a stalled client frees its ``--max-inflight`` slot.  It bounds
+#: only the body: an idle kept-alive connection between requests is
+#: never cut.
+BODY_READ_TIMEOUT_S = 10.0
 
 #: How often the accept loop checks for :meth:`MAEServer.stop` (the
 #: stdlib default of 0.5 s makes every stop wait out up to half a
@@ -273,6 +300,9 @@ def _make_handler(server: MAEServer):
     class Handler(BaseHTTPRequestHandler):
         server_version = "mae-serve/1"
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY: a reply never waits for the client's delayed ACK
+        # of the previous segment on a kept-alive connection.
+        disable_nagle_algorithm = True
 
         # silence per-request stderr logging; metrics carry the signal
         def log_message(self, format, *args):  # noqa: A002
@@ -292,6 +322,7 @@ def _make_handler(server: MAEServer):
             start = time.perf_counter()
             endpoint = "unmatched"
             status = 500
+            self._body = None  # not read yet: a reply now must close
             if not server._inflight.acquire(blocking=False):
                 self._reply(429, {"error": "server is at its in-flight "
                                            "request limit; retry"})
@@ -300,8 +331,14 @@ def _make_handler(server: MAEServer):
             try:
                 # Resolve the route before running its handler so error
                 # responses are attributed to the endpoint they hit, not
-                # lumped under "unmatched".
-                endpoint, status, thunk = self._dispatch(method)
+                # lumped under "unmatched".  Read the body before any
+                # reply, a 404/405 included, so the next request on the
+                # connection starts at its request line; a body error
+                # supersedes a route error.
+                try:
+                    endpoint, status, thunk = self._dispatch(method)
+                finally:
+                    self._body = self._read_body()
                 self._reply(status, thunk())
             except _HTTPFail as exc:
                 status = exc.status
@@ -503,15 +540,60 @@ def _make_handler(server: MAEServer):
             }
 
         # --------------------------------------------------------------
+        def _read_body(self) -> bytes:
+            """The request body, bounded by :data:`MAX_BODY_BYTES` and
+            :data:`BODY_READ_TIMEOUT_S`.  Raises 400/408/411/413 with
+            the body (partly) unread."""
+            if "Transfer-Encoding" in self.headers:
+                raise _HTTPFail(
+                    411, "send the request body with a Content-Length"
+                )
+            declared = (self.headers.get("Content-Length") or "0").strip()
+            if not (declared.isascii() and declared.isdigit()):
+                raise _HTTPFail(
+                    400, "Content-Length must be a non-negative integer, "
+                         f"got {declared!r}"
+                )
+            remaining = int(declared)
+            if remaining > MAX_BODY_BYTES:
+                raise _HTTPFail(
+                    413, f"request body of {remaining} bytes exceeds "
+                         f"the {MAX_BODY_BYTES}-byte limit"
+                )
+            if not remaining:
+                return b""
+            chunks = []
+            deadline = time.monotonic() + BODY_READ_TIMEOUT_S
+            try:
+                while remaining:
+                    budget = deadline - time.monotonic()
+                    if budget <= 0:
+                        raise socket.timeout
+                    self.connection.settimeout(budget)
+                    chunk = self.rfile.read1(remaining)
+                    if not chunk:
+                        raise _HTTPFail(
+                            400, "request body ended before its "
+                                 "Content-Length"
+                        )
+                    chunks.append(chunk)
+                    remaining -= len(chunk)
+            except socket.timeout:
+                raise _HTTPFail(
+                    408, "request body not received within "
+                         f"{BODY_READ_TIMEOUT_S} s"
+                ) from None
+            finally:
+                self.connection.settimeout(None)
+            return b"".join(chunks)
+
         def _json_body(self, optional: bool = False) -> dict:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length == 0:
+            if not self._body:
                 if optional:
                     return {}
                 raise _HTTPFail(400, "request body must be JSON")
-            raw = self.rfile.read(length)
             try:
-                body = json.loads(raw.decode("utf-8"))
+                body = json.loads(self._body.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise _HTTPFail(
                     400, f"request body is not valid JSON: {exc}"
@@ -521,13 +603,27 @@ def _make_handler(server: MAEServer):
             return body
 
         def _reply(self, status: int, payload: dict) -> None:
+            """Send the status line, headers and body in one write.
+
+            A reply sent before the whole body was read closes the
+            connection: the unread bytes would otherwise be parsed as
+            the next request."""
             data = json.dumps(payload).encode("utf-8")
+            close = self._body is None
+            if close:
+                self.close_connection = True
+            head = (
+                f"{self.protocol_version} {status} "
+                f"{self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {self.date_time_string()}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(data)}\r\n"
+                + ("Connection: close\r\n" if close else "")
+                + "\r\n"
+            )
             try:
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
+                self.wfile.write(head.encode("latin-1") + data)
             except (BrokenPipeError, ConnectionResetError):
                 pass  # client went away; nothing to salvage
 

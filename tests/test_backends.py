@@ -17,7 +17,13 @@ they run (and matter) on both CI matrix legs.
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +117,62 @@ class TestSelection:
         # guard window must straddle exactly that discontinuity.
         assert ROUND_EPSILON == 1e-9
         assert 0 < NEAR_INTEGER_GUARD < ROUND_EPSILON
+
+    def test_exact_paths_never_import_numpy(self):
+        """NumPy loads on the numpy backend's first evaluation only: the
+        CLI import, an exact floorplan race and a served estimate plus
+        ``/metrics`` leave it out of ``sys.modules``."""
+        script = textwrap.dedent("""
+            import json, sys, urllib.request
+            loaded = {}
+            import repro.cli
+            loaded["import repro.cli"] = "numpy" in sys.modules
+            from repro.floorplan.portfolio import (
+                PortfolioConfig, run_portfolio,
+            )
+            from repro.technology.libraries import cmos_process
+            from repro.workloads.designs import generate_design
+            run_portfolio(generate_design(6, seed=3), cmos_process(),
+                          PortfolioConfig(steps=20, spot_checks=1,
+                                          routability_weight=0.5))
+            loaded["run_portfolio"] = "numpy" in sys.modules
+            from repro.netlist.writers import write_verilog
+            from repro.service.server import start_server
+            from repro.workloads.generators import counter_module
+            server = start_server()
+
+            def call(method, path, payload=None):
+                data = None if payload is None else json.dumps(
+                    payload).encode()
+                req = urllib.request.Request(
+                    server.base_url + path, data=data, method=method)
+                with urllib.request.urlopen(req, timeout=30) as reply:
+                    return json.loads(reply.read())
+
+            try:
+                sid = call("POST", "/sessions", {"source": write_verilog(
+                    counter_module("lazy", bits=4))})["session"]
+                call("POST", f"/sessions/{sid}/estimate", {"rows": 3})
+                call("GET", "/metrics")
+            finally:
+                server.stop()
+            loaded["serve"] = "numpy" in sys.modules
+            print(json.dumps(loaded))
+        """)
+        env = dict(os.environ)
+        env.pop(backends_mod.BACKEND_ENV_VAR, None)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout.strip().splitlines()[-1])
+        assert loaded == {"import repro.cli": False, "run_portfolio": False,
+                          "serve": False}
 
 
 # ----------------------------------------------------------------------

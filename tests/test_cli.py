@@ -105,6 +105,21 @@ class TestTopLevel:
         assert main([]) == 2
         assert "commands" in capsys.readouterr().out
 
+    def test_backend_selection_ends_with_the_command(
+        self, monkeypatch, capsys
+    ):
+        """``$MAE_BACKEND`` / ``--backend`` hold for one command; an
+        in-process caller keeps its own default afterwards."""
+        pytest.importorskip("numpy")
+        from repro.perf.backends import BACKEND_ENV_VAR, current_backend_name
+
+        before = current_backend_name()
+        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+        assert main(["process", "list"]) == 0
+        assert current_backend_name() == before
+        assert main(["--backend", "numpy", "process", "list"]) == 0
+        assert current_backend_name() == before
+
     def test_pla_experiment_runs(self, capsys):
         assert main(["pla"]) == 0
         out = capsys.readouterr().out

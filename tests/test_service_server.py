@@ -3,13 +3,16 @@
 A full client walkthrough over a live ephemeral-port server: session
 lifecycle, bit-identical estimates over the wire, ECO edit streaming,
 the sessionless batch endpoint, the error-status contract
-(400/404/405/409/429/503/504), metrics, and the drain-on-shutdown
-endpoint.  Also the direct test of the ``serve_equivalence`` verify
-check.
+(400/404/405/408/409/411/413/429/503/504), persistent connections and
+bounded request bodies, metrics, and the drain-on-shutdown endpoint.
+Also the direct test of the ``serve_equivalence`` verify check.
 """
 
 import dataclasses
+import http.client
 import json
+import socket
+import statistics
 import time
 import urllib.error
 import urllib.request
@@ -21,6 +24,7 @@ from repro.core.standard_cell import estimate_standard_cell
 from repro.incremental.editgen import random_mutation
 from repro.incremental.mutations import mutations_to_jsonable
 from repro.netlist.writers import write_verilog
+from repro.service import server as server_mod
 from repro.service.engine import EstimationEngine, ServiceConfig
 from repro.service.server import MAEServer, ROUTES, start_server
 from repro.service.wire import estimate_from_jsonable, estimate_to_jsonable
@@ -327,6 +331,227 @@ class TestErrorContract:
             assert status == 200
         finally:
             server.stop(drain=True)
+
+
+def exchange(conn, method, path, payload=None):
+    """One request on a persistent ``http.client`` connection."""
+    body = json.dumps(payload).encode() if payload is not None else None
+    conn.request(method, path, body=body,
+                 headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    return response.status, json.loads(response.read()), response
+
+
+def raw_exchange(server, data, shutdown_write=False):
+    """Send raw request bytes on a fresh socket; return the reply's
+    status, headers and JSON body, and whether the server then closed
+    the connection."""
+    with socket.create_connection((server.host, server.port),
+                                  timeout=15) as sock:
+        sock.sendall(data)
+        if shutdown_write:
+            sock.shutdown(socket.SHUT_WR)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        body = json.loads(response.read())
+        closed = sock.recv(1) == b""
+        return response.status, response.headers, body, closed
+
+
+def response_count(server, key):
+    """``server.responses[key]`` from ``/metrics``, once it is counted
+    (the handler counts a reply just after sending it)."""
+    deadline = time.monotonic() + 5
+    while True:
+        _, body = request(server.base_url, "GET", "/metrics")
+        count = body["server"]["responses"].get(key, 0)
+        if count or time.monotonic() > deadline:
+            return count
+        time.sleep(0.02)
+
+
+class TestKeepAlive:
+    def test_estimates_answer_inside_the_delayed_ack_stall(
+        self, server, module
+    ):
+        """A kept-alive client pays compute time, not the ~40 ms a
+        two-write reply waits on the client's delayed ACK."""
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=15)
+        try:
+            status, info, _ = exchange(conn, "POST", "/sessions", {
+                "source": write_verilog(module), "tech": "nmos",
+            })
+            assert status == 201, info
+            path = f"/sessions/{info['session']}/estimate"
+            latencies = []
+            for _ in range(30):
+                started = time.perf_counter()
+                status, body, _ = exchange(conn, "POST", path, {})
+                latencies.append(time.perf_counter() - started)
+                assert status == 200, body
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.020, latencies
+
+    def test_error_replies_keep_the_stream_in_sync(self, server, module):
+        """404 and 405 replies consume the request body, so the next
+        request on the same connection parses from its request line."""
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=15)
+        try:
+            status, info, _ = exchange(conn, "POST", "/sessions", {
+                "source": write_verilog(module), "tech": "nmos",
+            })
+            assert status == 201, info
+            sock = conn.sock
+            path = f"/sessions/{info['session']}/estimate"
+            for method, wrong, expected in (("POST", "/nope", 404),
+                                            ("POST", "/health", 405),
+                                            ("DELETE", "/health", 405)):
+                status, _, _ = exchange(conn, method, wrong, {"rows": 3})
+                assert status == expected
+                status, body, _ = exchange(conn, "POST", path, {"rows": 3})
+                assert status == 200, body
+            assert conn.sock is sock  # one connection throughout
+        finally:
+            conn.close()
+
+    def test_inflight_429_closes_the_connection(self, module):
+        """Over its in-flight limit the server does not read the body,
+        so it closes the connection rather than parse the body as the
+        next request; the client reconnects and is served."""
+        server = start_server(
+            EstimationEngine(ServiceConfig()), max_inflight=1
+        )
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=15)
+        try:
+            status, info, _ = exchange(conn, "POST", "/sessions", {
+                "source": write_verilog(module), "tech": "nmos",
+            })
+            path = f"/sessions/{info['session']}/estimate"
+            # The session request gives its slot back just after its
+            # reply; take the only slot once it has.
+            assert server._inflight.acquire(timeout=5)
+            status, _, response = exchange(conn, "POST", path, {"rows": 3})
+            server._inflight.release()
+            assert status == 429
+            assert response.getheader("Connection") == "close"
+            status, body, _ = exchange(conn, "POST", path, {"rows": 3})
+            assert status == 200, body
+        finally:
+            conn.close()
+            server.stop(drain=True)
+
+
+class TestBoundedBodies:
+    """Hostile request bodies get a typed status and a closed
+    connection, and never hold a handler or its in-flight slot."""
+
+    ESTIMATE = "POST /sessions/{id}/estimate"
+
+    @pytest.fixture()
+    def limited(self, monkeypatch):
+        monkeypatch.setattr(server_mod, "MAX_BODY_BYTES", 64 * 1024)
+        monkeypatch.setattr(server_mod, "BODY_READ_TIMEOUT_S", 0.5)
+        server = start_server(
+            EstimationEngine(ServiceConfig()), max_inflight=2
+        )
+        yield server
+        server.stop(drain=True)
+
+    @staticmethod
+    def head(length, session="s000001"):
+        return (
+            f"POST /sessions/{session}/estimate HTTP/1.1\r\nHost: mae\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode()
+
+    @pytest.mark.parametrize("length, expected", [
+        ("abc", 400), ("-1", 400), ("1_0", 400), (64 * 1024 + 1, 413),
+    ])
+    def test_bad_declared_length(self, limited, length, expected):
+        # The 413 arrives at once: the server never waits on the body
+        # it refuses (a read would end in 408 instead).
+        status, headers, body, closed = raw_exchange(
+            limited, self.head(length)
+        )
+        assert status == expected and "error" in body
+        assert headers["Connection"] == "close" and closed
+        assert response_count(
+            limited, f"{self.ESTIMATE}:{expected}"
+        ) == 1
+
+    def test_chunked_body_is_refused(self, limited):
+        status, _, _, closed = raw_exchange(
+            limited,
+            b"POST /sessions/s000001/estimate HTTP/1.1\r\nHost: mae\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+        )
+        assert status == 411 and closed
+
+    def test_body_ending_early_is_refused(self, limited):
+        status, _, _, closed = raw_exchange(
+            limited, self.head(100) + b'{"rows"', shutdown_write=True
+        )
+        assert status == 400 and closed
+
+    def test_truncated_body_times_out_while_others_are_served(
+        self, limited, module
+    ):
+        sid = create_session(limited, module)["session"]
+        conn = http.client.HTTPConnection(limited.host, limited.port,
+                                          timeout=15)
+        stalled = socket.create_connection((limited.host, limited.port),
+                                           timeout=15)
+        try:
+            stalled.sendall(self.head(100, sid) + b'{"rows"')
+            # A kept-alive client on another connection keeps getting
+            # answers while that body is pending.
+            for _ in range(3):
+                status, body, _ = exchange(
+                    conn, "POST", f"/sessions/{sid}/estimate", {}
+                )
+                assert status == 200, body
+            response = http.client.HTTPResponse(stalled)
+            response.begin()
+            assert response.status == 408
+            assert "error" in json.loads(response.read())
+            assert stalled.recv(1) == b""
+        finally:
+            stalled.close()
+            conn.close()
+        # The stalled request gave its --max-inflight slot back.
+        assert limited._inflight.acquire(timeout=5)
+        assert limited._inflight.acquire(timeout=5)
+        limited._inflight.release()
+        limited._inflight.release()
+        assert response_count(limited, f"{self.ESTIMATE}:408") == 1
+
+    def test_idle_keepalive_outlives_the_body_timeout(self, limited):
+        conn = http.client.HTTPConnection(limited.host, limited.port,
+                                          timeout=15)
+        try:
+            assert exchange(conn, "GET", "/health")[0] == 200
+            sock = conn.sock
+            time.sleep(2 * server_mod.BODY_READ_TIMEOUT_S)
+            assert exchange(conn, "GET", "/health")[0] == 200
+            assert conn.sock is sock
+        finally:
+            conn.close()
+
+    def test_stop_drains_with_a_body_pending(self, monkeypatch, module):
+        monkeypatch.setattr(server_mod, "BODY_READ_TIMEOUT_S", 30.0)
+        server = start_server(EstimationEngine(ServiceConfig()))
+        sid = create_session(server, module)["session"]
+        with socket.create_connection((server.host, server.port),
+                                      timeout=15) as stalled:
+            stalled.sendall(self.head(100, sid) + b'{"rows"')
+            started = time.perf_counter()
+            server.stop(drain=True)
+            assert server.stopped
+            assert time.perf_counter() - started < 5.0
 
 
 class TestShutdownEndpoint:
