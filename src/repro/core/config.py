@@ -133,7 +133,11 @@ class EstimatorConfig:
             )
 
     def with_rows(self, rows: Optional[int]) -> "EstimatorConfig":
-        """Copy with a fixed row count (row-sweep studies)."""
+        """Copy with a fixed row count (row-sweep studies); ``self``
+        when the row count is already ``rows`` (configs are frozen, and
+        the plan cache asks for ``with_rows(None)`` on every lookup)."""
+        if rows == self.rows:
+            return self
         return replace(self, rows=rows)
 
     def with_(self, **changes) -> "EstimatorConfig":

@@ -23,9 +23,12 @@ table through :func:`repro.perf.batch.estimate_batch` (one scan per
 module) and keeps the :class:`~repro.perf.plan.EstimationPlan` each
 prefill estimate came from: the race never edits a module, so that one
 plan serves every table miss (a row window through the batched NumPy
-row-sweep kernel) and every routability price for the whole run.  The
-``serial`` engine is the before-picture: every query is a fresh
-:func:`~repro.core.standard_cell.estimate_standard_cell` rescan.
+row-sweep kernel) and every routability price for the whole run.  Each
+(module, rows) pair is priced once per race.  Across races the reuse
+follows the module: a leaf unedited since the last race keeps its scan
+and its plan's memoized estimates, so a warm race redoes only its
+search.  The ``serial`` engine is the before-picture: every query is a
+fresh :func:`~repro.core.standard_cell.estimate_standard_cell` rescan.
 Both engines produce **bit-identical trajectories** (the plan-vs-direct
 and backend-equivalence invariants), which is itself a verify gate.
 
@@ -46,7 +49,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.congestion.model import (
@@ -66,7 +69,8 @@ from repro.technology import ProcessDatabase
 from repro.workloads.designs import HierarchicalDesign
 
 #: Resume-file schema.  Bump on any change to the checkpoint layout.
-CHECKPOINT_VERSION = 1
+#: Version 2 records the whole estimator config and the process name.
+CHECKPOINT_VERSION = 2
 CHECKPOINT_KIND = "portfolio-checkpoint"
 
 #: The full searcher portfolio, in deterministic visit order.
@@ -85,8 +89,9 @@ class PortfolioConfig:
 
     The identity fields (everything except ``checkpoint_every``,
     ``jobs``, ``backend`` and ``spot_checks``, which only change *how*
-    the same trajectory is computed) are embedded in checkpoints; a
-    resume against a different identity raises
+    the same trajectory is computed — the estimator config included,
+    field by field) are embedded in checkpoints, next to the process
+    name; a resume against a different identity or process raises
     :class:`~repro.errors.CheckpointError`.
 
     ``jobs`` selects nothing: the race runs in one process, and any
@@ -138,10 +143,17 @@ class PortfolioConfig:
 
     def identity(self) -> Dict[str, object]:
         """The trajectory-determining subset, JSON-able."""
+        estimator = {
+            item.name: getattr(self.estimator, item.name)
+            for item in fields(self.estimator)
+        }
         return {
             "aspect_target": self.aspect_target,
             "aspect_weight": self.aspect_weight,
-            "max_rows": self.estimator.max_rows,
+            "estimator": {
+                name: list(value) if isinstance(value, tuple) else value
+                for name, value in sorted(estimator.items())
+            },
             "routability_weight": self.routability_weight,
             "row_window": self.row_window,
             "searchers": list(self.searchers),
@@ -194,6 +206,10 @@ class SerialEstimateServer:
             self._config.estimator.with_rows(rows),
         )
 
+    def price(self, name: str, rows: int) -> Tuple[float, float, float]:
+        """:func:`_price` afresh on every query (the serial contract)."""
+        return _price(self, name, rows, self._config.routability_weight)
+
     def routability(self, name: str, rows: int) -> float:
         """P(no channel overflows) for ``name`` at ``rows``, memoized.
 
@@ -234,7 +250,8 @@ class CompiledEstimateServer:
     the one object per module for the life of the run.  A miss
     evaluates the row window around the missed count in one batched
     ``evaluate_rows`` sweep of that plan, so steady-state moves are
-    pure table hits.
+    pure table hits.  :meth:`price` prices each (module, rows) pair
+    once per race.
     """
 
     engine_name = "portfolio"
@@ -251,7 +268,7 @@ class CompiledEstimateServer:
         self._table: Dict[Tuple[str, int], StandardCellEstimate] = {}
         self._plans: Dict[str, EstimationPlan] = {}
         self._capacity, _ = resolve_channel_capacity(process)
-        self._routability: Dict[Tuple[str, int], float] = {}
+        self._prices: Dict[Tuple[str, int], Tuple[float, float, float]] = {}
         self.evaluations = 0
         self.table_hits = 0
 
@@ -293,25 +310,30 @@ class CompiledEstimateServer:
         self.evaluations += len(window)
         return self._table[(name, rows)]
 
+    def price(self, name: str, rows: int) -> Tuple[float, float, float]:
+        """:func:`_price`, computed on the race's first query of the
+        pair and looked up on every later one."""
+        key = (name, rows)
+        price = self._prices.get(key)
+        if price is None:
+            price = self._prices[key] = _price(
+                self, name, rows, self._config.routability_weight
+            )
+        return price
+
     def routability(self, name: str, rows: int) -> float:
-        """P(no channel overflows) for ``name`` at ``rows``, memoized.
+        """P(no channel overflows) for ``name`` at ``rows``.
 
         Served through the module's prefill plan
-        (:meth:`~repro.perf.plan.EstimationPlan.evaluate_congestion`),
-        so the race prices congestion from the same histogram as the
-        area estimates; bit-identical to the serial server because the
-        plan's histogram equals a fresh rescan's and the downstream
-        arithmetic is shared.
+        (:meth:`~repro.perf.plan.EstimationPlan.evaluate_congestion`,
+        memoized per plan), so the race prices congestion from the same
+        histogram as the area estimates; bit-identical to the serial
+        server because the plan's histogram equals a fresh rescan's and
+        the downstream arithmetic is shared.
         """
-        key = (name, rows)
-        cached = self._routability.get(key)
-        if cached is not None:
-            return cached
-        value = self._plans[name].evaluate_congestion(
+        return self._plans[name].evaluate_congestion(
             rows, self._capacity
         ).routability
-        self._routability[key] = value
-        return value
 
     def table(self) -> Mapping[Tuple[str, int], StandardCellEstimate]:
         return self._table
@@ -354,13 +376,21 @@ class _SearcherState:
         self.best_rows = dict(self.rows)
 
 
-def _module_cost(
-    estimate: StandardCellEstimate, target: float, weight: float
-) -> float:
-    """Area, penalised by how far the shape sits from the target
-    aspect ratio (log-symmetric, so 2:1 and 1:2 cost the same)."""
-    ratio = (estimate.width / estimate.height) / target
-    return estimate.area * (1.0 + weight * abs(math.log(ratio)))
+def _price(
+    server, name: str, rows: int, weight: float
+) -> Tuple[float, float, float]:
+    """The target-free part of one (module, rows) candidate's cost:
+    ``(area, width / height, routability factor)``.
+
+    With routability weight ``w`` and routability ``r`` the factor is
+    ``1 + w * (1 - r)``; at ``w = 0`` it is 1.0 and the congestion
+    model is never evaluated.
+    """
+    estimate = server.estimate(name, rows)
+    factor = 1.0
+    if weight > 0.0:
+        factor = 1.0 + weight * (1.0 - server.routability(name, rows))
+    return estimate.area, estimate.width / estimate.height, factor
 
 
 def _move_cost(
@@ -372,24 +402,18 @@ def _move_cost(
 ) -> float:
     """The full priced cost of one (module, rows) candidate.
 
-    The aspect-shaped area cost, optionally scaled by congestion risk:
-    with ``routability_weight = w`` and routability ``r`` the factor is
-    ``1 + w * (1 - r)``, the ``--aspect-weight``-style multiplicative
-    penalty.  At ``w = 0`` the congestion model is never evaluated and
-    the arithmetic is literally the pre-routability sequence, so
-    unweighted trajectories (and their hashes) are unchanged.
+    Area, penalised by how far the shape sits from the target aspect
+    ratio (log-symmetric, so 2:1 and 1:2 cost the same), optionally
+    scaled by the routability factor of :func:`_price` — the
+    ``--aspect-weight``-style multiplicative congestion penalty.  At
+    ``routability_weight = 0`` the arithmetic is literally the
+    pre-routability sequence, so unweighted trajectories (and their
+    hashes) are unchanged.
     """
-    cost = _module_cost(
-        server.estimate(name, rows), target, config.aspect_weight
-    )
+    area, aspect, factor = server.price(name, rows)
+    cost = area * (1.0 + config.aspect_weight * abs(math.log(aspect / target)))
     if config.routability_weight > 0.0:
-        # Probe the server's memo directly: the race re-prices the
-        # same (module, rows) pairs thousands of times and the method
-        # dispatch alone is measurable against the gated overhead.
-        score = server._routability.get((name, rows))
-        if score is None:
-            score = server.routability(name, rows)
-        cost *= 1.0 + config.routability_weight * (1.0 - score)
+        cost *= factor
     return cost
 
 
@@ -561,6 +585,7 @@ def _accept_rows(
 def _checkpoint_payload(
     engine_name: str,
     design: HierarchicalDesign,
+    process: ProcessDatabase,
     config: PortfolioConfig,
     states: Sequence[_SearcherState],
 ) -> Dict[str, object]:
@@ -569,6 +594,7 @@ def _checkpoint_payload(
         "kind": CHECKPOINT_KIND,
         "engine": engine_name,
         "design": design.spec_dict,
+        "process": process.name,
         "config": config.identity(),
         "searchers": {
             state.name: {
@@ -638,6 +664,7 @@ def _validate_checkpoint(payload: object, context: str) -> None:
     for key, types in (
         ("engine", str),
         ("design", dict),
+        ("process", str),
         ("config", dict),
         ("searchers", dict),
     ):
@@ -686,10 +713,12 @@ def _restore_states(
     payload: Mapping[str, object],
     engine_name: str,
     design: HierarchicalDesign,
+    process: ProcessDatabase,
     config: PortfolioConfig,
 ) -> List[_SearcherState]:
     """Turn a validated checkpoint back into live searcher states,
-    cross-checking it against *this* run's design and config."""
+    cross-checking it against *this* run's design, process and
+    config."""
     if payload["engine"] != engine_name:
         raise CheckpointError(
             f"checkpoint was written by the {payload['engine']!r} engine, "
@@ -699,6 +728,11 @@ def _restore_states(
         raise CheckpointError(
             f"checkpoint design {payload['design']!r} does not match this "
             f"design {design.spec_dict!r}"
+        )
+    if payload["process"] != process.name:
+        raise CheckpointError(
+            f"checkpoint was written under process {payload['process']!r}, "
+            f"not {process.name!r}"
         )
     if payload["config"] != config.identity():
         raise CheckpointError(
@@ -849,7 +883,9 @@ def run_portfolio(
         names = sorted(initial_rows)
 
         if resume is not None:
-            states = _restore_states(resume, engine, design, config)
+            states = _restore_states(
+                resume, engine, design, process, config
+            )
         else:
             states = [
                 _SearcherState(s, names, initial_rows, config.aspect_target)
@@ -889,7 +925,9 @@ def run_portfolio(
             if checkpoint_path is not None:
                 write_checkpoint(
                     checkpoint_path,
-                    _checkpoint_payload(engine, design, config, states),
+                    _checkpoint_payload(
+                        engine, design, process, config, states
+                    ),
                 )
 
     winner = min(states, key=lambda s: (s.best_common, s.name))

@@ -65,7 +65,7 @@ class PinConnection:
     pin: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Device:
     """An instance of a library cell or a transistor.
 
@@ -74,6 +74,10 @@ class Device:
     ``pins`` maps pin names to net names.  ``width_lambda`` /
     ``height_lambda`` optionally override the library dimensions, which
     full-custom transistor sizing needs.
+
+    Devices are frozen, so a device's cell and size cannot change
+    behind its module's :attr:`Module.revision`; the owning
+    :class:`Module` alone edits ``pins``, through its mutators.
     """
 
     name: str
@@ -144,8 +148,9 @@ class Net:
 class Module:
     """A flat circuit module: ports, devices, and nets.
 
-    Mutation goes through :meth:`add_port`, :meth:`add_device`, and
-    :meth:`connect`, which maintain the net-connection indices; direct
+    Mutation goes through :meth:`add_port`, :meth:`add_device`,
+    :meth:`connect` and the ECO edits below, which maintain the
+    net-connection indices and bump :attr:`revision`; direct
     dictionary manipulation is not supported.
     """
 
@@ -156,6 +161,9 @@ class Module:
         self._ports: Dict[str, Port] = {}
         self._devices: Dict[str, Device] = {}
         self._nets: Dict[str, Net] = {}
+        #: Edit counter: +1 per successful mutator call, so a cache can
+        #: tell an unedited module from an edited one without rescanning.
+        self.revision = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -169,6 +177,7 @@ class Module:
         self._ports[port.name] = port
         net = self._nets.setdefault(net_name, Net(net_name))
         net.ports.append(port.name)
+        self.revision += 1
         return port
 
     def add_device(self, device: Device) -> Device:
@@ -181,6 +190,7 @@ class Module:
         for pin, net_name in device.pins.items():
             net = self._nets.setdefault(net_name, Net(net_name))
             net.connections.append(PinConnection(device.name, pin))
+        self.revision += 1
         return device
 
     def connect(self, device_name: str, pin: str, net_name: str) -> None:
@@ -198,6 +208,7 @@ class Module:
         device.pins[pin] = net_name
         net = self._nets.setdefault(net_name, Net(net_name))
         net.connections.append(PinConnection(device_name, pin))
+        self.revision += 1
 
     # ------------------------------------------------------------------
     # mutation (ECO-style edits; see repro.incremental)
@@ -221,6 +232,7 @@ class Module:
                 conn for conn in net.connections if conn.device != name
             ]
             self._drop_net_if_empty(net_name)
+        self.revision += 1
         return device
 
     def disconnect(self, device_name: str, pin: str) -> str:
@@ -238,6 +250,7 @@ class Module:
             if not (conn.device == device_name and conn.pin == pin)
         ]
         self._drop_net_if_empty(net_name)
+        self.revision += 1
         return net_name
 
     def merge_nets(self, keep: str, absorb: str) -> Net:
@@ -262,6 +275,7 @@ class Module:
             )
             keep_net.ports.append(port_name)
         del self._nets[absorb]
+        self.revision += 1
         return keep_net
 
     def split_net(
@@ -305,6 +319,7 @@ class Module:
         net.connections = remaining
         self._nets[new_name] = new_net
         self._drop_net_if_empty(source)
+        self.revision += 1
         return new_net
 
     def copy(self) -> "Module":

@@ -10,9 +10,13 @@ instead of once per module) and the probability kernels (now shared
 process-wide via :mod:`repro.perf.kernels`).
 
 :func:`estimate_batch` removes both: each module is scanned **once**
-per distinct scan signature (port pitch override, power-net list) and
-the scan is reused across every row count and methodology.  The batch
-runs serially in this process, bit-identical to per-call estimation.
+per distinct scan signature (process, port width, power-net list) and
+the scan is reused across every row count and methodology.  A later
+call over the same module reuses that scan too, as long as the module
+is unedited (its :attr:`~repro.netlist.model.Module.revision` and name
+are unchanged) and the signature matches; the rule that switches
+this off is :func:`repro.perf.plan.reuse_generation`.  The batch runs
+serially in this process, bit-identical to per-call estimation.
 
 Standard-cell tasks evaluate through compiled
 :class:`~repro.perf.plan.EstimationPlan` objects (one compilation per
@@ -27,8 +31,11 @@ the floorplan prefill) all route through here.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.config import EstimatorConfig
 from repro.core.full_custom import estimate_full_custom
@@ -38,13 +45,32 @@ from repro.netlist.model import Module
 from repro.netlist.stats import ModuleStatistics, scan_module
 from repro.obs.trace import current_tracer
 from repro.perf.backends import resolve_backend_name
-from repro.perf.plan import EstimationPlan, get_plan
+from repro.perf.plan import EstimationPlan, get_plan, reuse_generation
 from repro.technology.process import ProcessDatabase
 
 #: Methodologies the batch executor understands.
 BATCH_METHODOLOGIES = ("standard-cell", "full-custom")
 
 Estimate = Union[StandardCellEstimate, FullCustomEstimate]
+
+
+class _HeldScan(NamedTuple):
+    """A module's last scan and everything it was taken under."""
+
+    generation: int
+    revision: int
+    process: ProcessDatabase
+    port_width: float
+    power_nets: Tuple[str, ...]
+    stats: ModuleStatistics
+
+
+#: Module -> its last scan.  Weakly keyed: a dropped module takes its
+#: entry with it, in one dict operation on whichever thread drops it,
+#: so the dispatcher thread that fills the store needs no lock.
+_SCANS: "weakref.WeakKeyDictionary[Module, _HeldScan]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 @dataclass(frozen=True)
@@ -168,19 +194,11 @@ def _run_group(
     def stats_for(config: EstimatorConfig) -> ModuleStatistics:
         key = (config.port_pitch_override, config.power_nets)
         if key not in scans:
-            tracer = current_tracer()
-            with tracer.span("scan") as span:
-                scans[key] = scan_module(
-                    module,
-                    device_width=process.device_width,
-                    device_height=process.device_height,
-                    port_width=config.port_pitch_override
-                    or process.port_pitch,
-                    power_nets=config.power_nets,
-                )
-                if tracer.enabled:
-                    span.set("module", module.name)
-                    tracer.metrics.incr("scan.modules")
+            scans[key] = _scan(
+                module, process,
+                config.port_pitch_override or process.port_pitch,
+                config.power_nets,
+            )
         return scans[key]
 
     estimates: List[Tuple[Estimate, Optional[EstimationPlan]]] = []
@@ -222,6 +240,47 @@ def _run_group(
                 estimates.append((plan.evaluate(config.rows), plan))
             index += len(run)
     return estimates
+
+
+def _scan(
+    module: Module,
+    process: ProcessDatabase,
+    port_width: float,
+    power_nets: Tuple[str, ...],
+) -> ModuleStatistics:
+    """:func:`scan_module` for one scan signature, reusing an earlier
+    call's statistics while the module is unedited."""
+    tracer = current_tracer()
+    generation = reuse_generation(tracer)
+    if generation is not None:
+        held = _SCANS.get(module)
+        if (
+            held is not None
+            and held.generation == generation
+            and held.revision == module.revision
+            and held.process is process
+            and held.port_width == port_width
+            and held.power_nets == power_nets
+            and held.stats.module_name == module.name
+        ):
+            return held.stats
+    with tracer.span("scan") as span:
+        stats = scan_module(
+            module,
+            device_width=process.device_width,
+            device_height=process.device_height,
+            port_width=port_width,
+            power_nets=power_nets,
+        )
+        if tracer.enabled:
+            span.set("module", module.name)
+            tracer.metrics.incr("scan.modules")
+    if generation is not None:
+        _SCANS[module] = _HeldScan(
+            generation, module.revision, process, port_width, power_nets,
+            stats,
+        )
+    return stats
 
 
 def _normalise_configs(

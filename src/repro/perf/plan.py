@@ -27,6 +27,14 @@ statistics live in :func:`plan_cache_stats` (cache-stats space, like
 the kernel caches) — deliberately *not* in the additive tracer counter
 space, because plan cache hits depend on process history, not on the
 workload.
+
+A plan also memoizes its estimates per requested row count, so a
+caller that asks an unedited module the same question twice (the
+floorplan race, a served session) evaluates once.  That memo, and the
+scan reuse of :func:`repro.perf.batch.estimate_batch`, follow one rule
+(:func:`reuse_generation`): both are off under
+:func:`~repro.perf.kernels.caches_disabled` and while the tracer
+collects, and :func:`clear_plan_cache` forgets both.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from repro.errors import EstimationError, StaleStatisticsError
 from repro.netlist.stats import ModuleStatistics
 from repro.obs.trace import current_tracer
 from repro.perf.backends import get_backend, resolve_backend_name
-from repro.perf.kernels import central_feedthrough_probability
+from repro.perf.kernels import cache_enabled, central_feedthrough_probability
 from repro.technology.process import ProcessDatabase
 from repro.units import round_up
 
@@ -53,16 +61,18 @@ class EstimationPlan:
     Construct via :func:`compile_plan` (validates) or :func:`get_plan`
     (process-wide cache).  ``evaluate(rows)`` is bit-identical to the
     direct path at ``config.with_rows(rows)``; ``evaluate(None)`` runs
-    the Section 5 initial-row algorithm exactly like the direct path —
-    on *every* call, so traced row-iteration counters stay
-    workload-derived.
+    the Section 5 initial-row algorithm exactly like the direct path.
+    Repeated row counts are served from the plan's memo, except while
+    the tracer collects: a traced call always evaluates, so traced
+    row-iteration counters stay workload-derived.
     """
 
     __slots__ = (
         "stats", "process", "config", "histogram", "net_sizes",
         "net_counts", "routed_net_count", "device_count", "average_width",
         "cell_area", "row_height", "track_pitch", "feedthrough_unit_width",
-        "backend_name", "_congestion_memo",
+        "backend_name", "_congestion_memo", "_estimates",
+        "_estimates_generation",
     )
 
     def __init__(
@@ -101,11 +111,36 @@ class EstimationPlan:
         #: (rows, capacity) -> CongestionDistribution, filled lazily by
         #: :meth:`evaluate_congestion`.
         self._congestion_memo: Dict[Tuple[int, int], object] = {}
+        #: requested rows -> estimate, valid for one reuse generation.
+        self._estimates: Dict[Optional[int], StandardCellEstimate] = {}
+        self._estimates_generation = -1
+
+    def _memo(
+        self, tracer
+    ) -> Optional[Dict[Optional[int], StandardCellEstimate]]:
+        """The estimates memo, or ``None`` while reuse is off."""
+        generation = reuse_generation(tracer)
+        if generation is None:
+            return None
+        if self._estimates_generation != generation:
+            self._estimates = {}
+            self._estimates_generation = generation
+        return self._estimates
 
     def evaluate(self, rows: Optional[int] = None) -> StandardCellEstimate:
         """The Eq. 12 estimate at ``rows`` (``None``: Section 5 rows)."""
-        config = self.config
         tracer = current_tracer()
+        memo = self._memo(tracer)
+        estimate = None if memo is None else memo.get(rows)
+        if estimate is None:
+            estimate = self._evaluate(rows, tracer)
+            if memo is not None:
+                memo[rows] = estimate
+        _note_evaluation()
+        return estimate
+
+    def _evaluate(self, rows: Optional[int], tracer) -> StandardCellEstimate:
+        config = self.config
         with tracer.span("plan.evaluate") as span:
             if rows is None:
                 rows = choose_initial_rows(self.stats, self.process, config)
@@ -117,9 +152,7 @@ class EstimationPlan:
             per_size = get_backend(self.backend_name).tracks_for_histogram(
                 self.histogram, rows, config.row_spread_mode
             )
-            estimate = self._assemble(rows, per_size, None, tracer, span)
-        _note_evaluation()
-        return estimate
+            return self._assemble(rows, per_size, None, tracer, span)
 
     def evaluate_rows(
         self, row_counts
@@ -132,7 +165,9 @@ class EstimationPlan:
         (rows x net-size) kernel evaluation and the feed-through means
         from one batched call, with only the scalar Eq. 12 assembly per
         row — the kernel that makes ``sweep_rows`` and the C2 iteration
-        loop one array pass instead of a per-row scalar walk.
+        loop one array pass instead of a per-row scalar walk.  Row
+        counts already in the estimates memo are served from it; only
+        the rest are evaluated.
         """
         row_counts = tuple(row_counts)
         if not row_counts:
@@ -146,29 +181,37 @@ class EstimationPlan:
                 raise EstimationError(
                     f"row count must be >= 1, got {rows}"
                 )
-        per_size_rows = backend.tracks_for_histogram_rows(
-            self.histogram, row_counts, config.row_spread_mode
-        )
-        if config.feedthrough_model == "two-component":
-            means = None
-        else:
-            means = backend.feedthrough_means_for_rows(
-                self.histogram, row_counts, "general"
-            )
         tracer = current_tracer()
+        memo = self._memo(tracer)
+        todo = row_counts if memo is None else tuple(
+            rows for rows in dict.fromkeys(row_counts) if rows not in memo
+        )
         estimates = []
-        for index, rows in enumerate(row_counts):
-            with tracer.span("plan.evaluate") as span:
-                estimate = self._assemble(
-                    rows,
-                    per_size_rows[index],
-                    None if means is None else means[index],
-                    tracer,
-                    span,
+        if todo:
+            per_size_rows = backend.tracks_for_histogram_rows(
+                self.histogram, todo, config.row_spread_mode
+            )
+            if config.feedthrough_model == "two-component":
+                means = None
+            else:
+                means = backend.feedthrough_means_for_rows(
+                    self.histogram, todo, "general"
                 )
-            _note_evaluation()
-            estimates.append(estimate)
-        return tuple(estimates)
+            for index, rows in enumerate(todo):
+                with tracer.span("plan.evaluate") as span:
+                    estimate = self._assemble(
+                        rows,
+                        per_size_rows[index],
+                        None if means is None else means[index],
+                        tracer,
+                        span,
+                    )
+                estimates.append(estimate)
+        _note_evaluation(len(row_counts))
+        if memo is None:
+            return tuple(estimates)
+        memo.update(zip(todo, estimates))
+        return tuple(memo[rows] for rows in row_counts)
 
     def evaluate_congestion(self, rows: int, capacity: Optional[int] = None):
         """The per-channel congestion distribution at ``rows``, memoized.
@@ -182,6 +225,12 @@ class EstimationPlan:
         backend, so serial and compiled portfolio servers stay
         bit-identical.
         """
+        # Memo keys hold validated rows and resolved capacities, so a
+        # caller passing an already-resolved capacity (the race) hits
+        # without resolving or importing anything.
+        distribution = self._congestion_memo.get((rows, capacity))
+        if distribution is not None:
+            return distribution
         from repro.congestion.model import (
             congestion_distribution,
             resolve_channel_capacity,
@@ -317,6 +366,19 @@ def compile_plan(
 # ----------------------------------------------------------------------
 _PLAN_CACHE: Dict[tuple, EstimationPlan] = {}
 _PLAN_COUNTERS = {"hits": 0, "compilations": 0, "evaluations": 0}
+#: Cross-call reuse (plan estimate memos, ``estimate_batch`` scans) is
+#: valid within one generation; :func:`clear_plan_cache` starts the next.
+_REUSE = {"generation": 0}
+
+
+def reuse_generation(tracer) -> Optional[int]:
+    """The generation cross-call reuse is filed under, or ``None``
+    while reuse is off: under :func:`~repro.perf.kernels.caches_disabled`
+    (baseline runs recompute) and while ``tracer``, the current tracer,
+    collects (spans and counters stay workload-derived)."""
+    if tracer.enabled or not cache_enabled():
+        return None
+    return _REUSE["generation"]
 
 
 def _plan_key(
@@ -376,8 +438,8 @@ def get_plan(
     return plan
 
 
-def _note_evaluation() -> None:
-    _PLAN_COUNTERS["evaluations"] += 1
+def _note_evaluation(count: int = 1) -> None:
+    _PLAN_COUNTERS["evaluations"] += count
 
 
 def plan_cache_stats() -> Dict[str, int]:
@@ -393,7 +455,9 @@ def plan_cache_stats() -> Dict[str, int]:
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan and reset the counters."""
+    """Drop every cached plan, forget every plan's estimates memo and
+    every reusable ``estimate_batch`` scan, and reset the counters."""
     _PLAN_CACHE.clear()
+    _REUSE["generation"] += 1
     for name in _PLAN_COUNTERS:
         _PLAN_COUNTERS[name] = 0

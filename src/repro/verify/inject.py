@@ -61,12 +61,16 @@ def perturbed_backend(
     The patch point is the registered backend *instance* (the same
     object every plan resolves per evaluation), emulating a numerical
     fault in the vectorized kernels while the exact reference stays
-    honest.  A no-op when the backend's dependency is missing — there
-    is nothing to perturb and the gate is trivially satisfied anyway.
+    honest.  The plan cache is cleared on entry and on exit, so an
+    estimate memoized on either side of the block can never hide (or
+    outlive) the injected fault.  A no-op when the backend's dependency
+    is missing — there is nothing to perturb and the gate is trivially
+    satisfied anyway.
     """
     if scale <= 0:
         raise VerificationError(f"scale must be positive, got {scale}")
     from repro.perf.backends import get_backend
+    from repro.perf.plan import clear_plan_cache
     from repro.errors import BackendUnavailableError
 
     try:
@@ -99,6 +103,7 @@ def perturbed_backend(
             for per_size in original_rows(histogram, row_counts, mode)
         )
 
+    clear_plan_cache()
     backend.tracks_for_histogram = perturbed_single
     backend.tracks_for_histogram_rows = perturbed_rows
     try:
@@ -106,3 +111,4 @@ def perturbed_backend(
     finally:
         backend.tracks_for_histogram = original_single
         backend.tracks_for_histogram_rows = original_rows
+        clear_plan_cache()

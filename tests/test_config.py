@@ -48,6 +48,18 @@ class TestCopyHelpers:
         assert derived.track_sharing_factor == 0.5
         assert config.rows is None  # original untouched
 
+    def test_with_rows_same_count_is_self(self):
+        config = EstimatorConfig()
+        assert config.with_rows(None) is config
+        fixed = EstimatorConfig(rows=4)
+        assert fixed.with_rows(4) is fixed
+        assert fixed.with_rows(None) == config
+        # A changed row count is still a validated copy.
+        with pytest.raises(EstimationError):
+            config.with_rows(0)
+        with pytest.raises(EstimationError):
+            fixed.with_rows(-2)
+
     def test_with_changes(self):
         config = EstimatorConfig()
         derived = config.with_(device_area_mode="average", rows=2)

@@ -332,8 +332,12 @@ class TestPlanCongestion:
         plan = get_plan(stats, PROCESS, EstimatorConfig())
         first = plan.evaluate_congestion(3)
         assert plan.evaluate_congestion(3) is first
-        assert plan.evaluate_congestion(3, capacity=5) is not first
+        at_five = plan.evaluate_congestion(3, capacity=5)
+        assert at_five is not first
+        assert plan.evaluate_congestion(3, capacity=5) is at_five
         assert plan.evaluate_congestion(4) is not first
+        with pytest.raises(EstimationError, match="capacity"):
+            plan.evaluate_congestion(3, capacity=0)
 
     def test_plan_matches_direct_distribution(self):
         clear_plan_cache()

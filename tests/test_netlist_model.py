@@ -1,5 +1,7 @@
 """Tests for the netlist data model."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import NetlistError
@@ -38,6 +40,16 @@ class TestDevice:
     def test_rejects_nonpositive_dimensions(self, field):
         with pytest.raises(NetlistError):
             Device("u1", "NAND2", **{field: 0.0})
+
+    @pytest.mark.parametrize("field, value", [
+        ("name", "u2"), ("cell", "NOR2"), ("pins", {}),
+        ("width_lambda", 9.0), ("height_lambda", 9.0),
+    ])
+    def test_fields_are_frozen(self, field, value):
+        """A device cannot change behind its module's revision."""
+        device = Device("u1", "NAND2", {"a": "n1"})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(device, field, value)
 
 
 class TestNet:
@@ -155,3 +167,45 @@ class TestModule:
     def test_empty_name_rejected(self):
         with pytest.raises(NetlistError):
             Module("")
+
+
+class TestRevision:
+    """Every mutator bumps ``Module.revision``; a rejected edit does
+    not."""
+
+    @staticmethod
+    def _module():
+        module = Module("m")
+        module.add_port(Port("a", net="n1"))
+        module.add_device(Device("u1", "INV", {"a": "n1", "y": "n2"}))
+        module.add_device(Device("u2", "INV", {"a": "n2", "y": "n3"}))
+        return module
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.add_port(Port("b")),
+        lambda m: m.add_device(Device("u3", "INV", {"a": "n3"})),
+        lambda m: m.connect("u2", "en", "n1"),
+        lambda m: m.remove_device("u2"),
+        lambda m: m.disconnect("u1", "y"),
+        lambda m: m.merge_nets("n1", "n3"),
+        lambda m: m.split_net("n2", "n4", [("u2", "a")]),
+    ], ids=["add_port", "add_device", "connect", "remove_device",
+            "disconnect", "merge_nets", "split_net"])
+    def test_each_mutator_bumps_revision(self, edit):
+        module = self._module()
+        before = module.revision
+        edit(module)
+        assert module.revision == before + 1
+
+    def test_construction_counts_edits(self):
+        assert Module("empty").revision == 0
+        assert self._module().revision == 3
+
+    def test_rejected_edit_keeps_revision(self):
+        module = self._module()
+        before = module.revision
+        with pytest.raises(NetlistError):
+            module.add_device(Device("u1", "INV"))
+        with pytest.raises(NetlistError):
+            module.remove_device("absent")
+        assert module.revision == before

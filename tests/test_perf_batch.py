@@ -21,6 +21,8 @@ from repro.perf import (
     clear_kernel_caches,
     kernel_cache_stats,
 )
+import repro.perf.batch as batch_module
+from repro.obs.trace import Tracer, use_tracer
 from repro.perf.batch import BATCH_METHODOLOGIES, estimate_batch
 from repro.perf.bench import (
     SCHEMA_VERSION,
@@ -30,7 +32,9 @@ from repro.perf.bench import (
     validate_bench_record,
     write_bench_record,
 )
+from repro.perf.plan import clear_plan_cache
 from repro.technology.libraries import nmos_process
+from repro.workloads.generators import random_gate_module
 from repro.workloads.suites import table1_suite, table2_suite
 
 
@@ -198,6 +202,99 @@ class TestKernelCache:
         for s in bypassed:
             if s.hits or s.misses:
                 assert s.hit_rate == s.hits / (s.hits + s.misses)
+
+
+class TestScanReuse:
+    """A later call over an unedited module reuses its scan; an edit,
+    another scan signature, caches_disabled(), the tracer and
+    clear_plan_cache() each force a fresh one."""
+
+    CONFIGS = [EstimatorConfig(), EstimatorConfig(rows=3),
+               EstimatorConfig(rows=5)]
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Names of the modules ``estimate_batch`` scans, in order."""
+        seen = []
+        original = batch_module.scan_module
+
+        def counting(module, *args, **kwargs):
+            seen.append(module.name)
+            return original(module, *args, **kwargs)
+
+        monkeypatch.setattr(batch_module, "scan_module", counting)
+        return seen
+
+    @staticmethod
+    def _modules():
+        return [
+            random_gate_module(f"reuse{seed}", gates=30, inputs=4,
+                               outputs=2, seed=seed)
+            for seed in range(3)
+        ]
+
+    @staticmethod
+    def _estimates(results):
+        return [result.estimate for result in results]
+
+    def test_unedited_modules_are_not_rescanned(self, nmos, scans):
+        modules = self._modules()
+        first = estimate_batch(modules, nmos, self.CONFIGS)
+        assert len(scans) == len(modules)
+        scans.clear()
+        second = estimate_batch(modules, nmos, self.CONFIGS)
+        assert scans == []
+        assert self._estimates(second) == self._estimates(first)
+
+    def test_an_edit_rescans_only_that_module(self, nmos, scans):
+        modules = self._modules()
+        estimate_batch(modules, nmos, self.CONFIGS)
+        scans.clear()
+        edited = modules[1]
+        edited.remove_device(edited.devices[-1].name)
+        warm = estimate_batch(modules, nmos, self.CONFIGS)
+        assert scans == [edited.name]
+        clear_plan_cache()
+        scans.clear()
+        cold = estimate_batch(modules, nmos, self.CONFIGS)
+        assert len(scans) == len(modules)
+        assert self._estimates(warm) == self._estimates(cold)
+
+    def _warm(self, modules, nmos, scans):
+        """Scan ``modules`` once, then check a repeat call reuses it."""
+        estimate_batch(modules, nmos, self.CONFIGS)
+        scans.clear()
+        estimate_batch(modules, nmos, self.CONFIGS)
+        assert scans == []
+
+    def test_another_signature_rescans(self, nmos, scans):
+        modules = self._modules()
+        self._warm(modules, nmos, scans)
+        estimate_batch(modules, nmos_process(), self.CONFIGS)
+        estimate_batch(modules, nmos, EstimatorConfig(port_pitch_override=5))
+        estimate_batch(modules, nmos, EstimatorConfig(power_nets=("vdd",)))
+        assert len(scans) == 3 * len(modules)
+
+    def test_a_renamed_module_is_rescanned(self, nmos, scans):
+        module = self._modules()[0]
+        self._warm([module], nmos, scans)
+        module.name = "renamed"
+        result = estimate_batch([module], nmos, self.CONFIGS)
+        assert scans == ["renamed"]
+        assert result[0].estimate.module_name == "renamed"
+
+    def test_caches_disabled_and_tracer_rescan(self, nmos, scans):
+        modules = self._modules()
+        self._warm(modules, nmos, scans)
+        with caches_disabled():
+            estimate_batch(modules, nmos, self.CONFIGS)
+        assert len(scans) == len(modules)
+        scans.clear()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            estimate_batch(modules, nmos, self.CONFIGS)
+        assert len(scans) == len(modules)
+        assert tracer.metrics.counters()["scan.modules"] == len(modules)
 
 
 HEAD_RECORD = Path(__file__).resolve().parent.parent / "BENCH_batch_engine.json"

@@ -22,7 +22,12 @@ from repro.core.standard_cell import estimate_standard_cell_from_stats
 from repro.errors import EstimationError
 from repro.netlist.stats import ModuleStatistics
 from repro.obs.trace import Tracer, use_tracer
-from repro.perf.kernels import clear_kernel_caches, surjection_triangle_stats
+from repro.perf.backends import get_backend
+from repro.perf.kernels import (
+    caches_disabled,
+    clear_kernel_caches,
+    surjection_triangle_stats,
+)
 from repro.perf.plan import (
     clear_plan_cache,
     compile_plan,
@@ -169,6 +174,105 @@ class TestPlanValidationAndCache:
         )
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.evaluate(4) == plan.evaluate(4)
+
+
+class TestEstimateMemo:
+    """A plan serves a repeated row count from its memo; the memo is off
+    under caches_disabled() and while the tracer collects, and
+    clear_plan_cache() forgets it."""
+
+    HISTOGRAM = ((2, 3), (4, 2), (7, 1))
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Row counts the exact backend's track kernel is asked for."""
+        calls = []
+        backend = get_backend("exact")
+        original = backend.tracks_for_histogram
+
+        def counting(histogram, rows, mode):
+            calls.append(rows)
+            return original(histogram, rows, mode)
+
+        monkeypatch.setattr(backend, "tracks_for_histogram", counting)
+        return calls
+
+    def _plan(self, nmos, backend="exact", **config):
+        return compile_plan(
+            stats_from_histogram(self.HISTOGRAM), nmos,
+            EstimatorConfig(**config), backend=backend,
+        )
+
+    def test_repeat_is_served_without_the_backend(self, nmos,
+                                                  kernel_calls):
+        plan = self._plan(nmos)
+        at_four = plan.evaluate(4)
+        initial = plan.evaluate()
+        assert len(kernel_calls) == 2
+        assert plan.evaluate(4) is at_four
+        assert plan.evaluate() is initial
+        assert plan.evaluate_rows([4, initial.rows]) == (at_four, initial)
+        assert len(kernel_calls) == 3  # only initial.rows was new
+
+    def _warm(self, nmos, kernel_calls):
+        """A plan that has evaluated 4 rows once, and served a repeat
+        from its memo."""
+        plan = self._plan(nmos)
+        first = plan.evaluate(4)
+        assert plan.evaluate(4) is first
+        assert len(kernel_calls) == 1
+        return plan, first
+
+    def test_caches_disabled_recomputes(self, nmos, kernel_calls):
+        plan, first = self._warm(nmos, kernel_calls)
+        with caches_disabled():
+            again = plan.evaluate(4)
+        assert len(kernel_calls) == 2
+        assert again == first and again is not first
+
+    def test_tracer_recomputes_with_the_first_counters(self, nmos,
+                                                      kernel_calls):
+        cold_tracer = Tracer()
+        with use_tracer(cold_tracer):
+            self._plan(nmos).evaluate(4)
+        del kernel_calls[:]
+        plan, _ = self._warm(nmos, kernel_calls)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            plan.evaluate(4)
+        assert len(kernel_calls) == 2
+        assert tracer.metrics.counters() == cold_tracer.metrics.counters()
+        assert [r["name"] for r in tracer.records()] == [
+            r["name"] for r in cold_tracer.records()
+        ]
+
+    def test_clear_plan_cache_forgets_every_memo(self, nmos, kernel_calls):
+        plan, _ = self._warm(nmos, kernel_calls)  # compiled, never cached
+        clear_plan_cache()
+        plan.evaluate(4)
+        assert len(kernel_calls) == 2
+
+    def test_numpy_rows_evaluate_only_what_is_missing(self, nmos,
+                                                      monkeypatch):
+        pytest.importorskip("numpy")
+        backend = get_backend("numpy")
+        batches = []
+        original = backend.tracks_for_histogram_rows
+
+        def recording(histogram, row_counts, mode):
+            batches.append(tuple(row_counts))
+            return original(histogram, row_counts, mode)
+
+        monkeypatch.setattr(backend, "tracks_for_histogram_rows", recording)
+        plan = self._plan(nmos, backend="numpy",
+                          feedthrough_model="general")
+        plan.evaluate_rows([3, 4])
+        served = plan.evaluate_rows([2, 3, 4, 5, 5])
+        assert batches == [(3, 4), (2, 5)]
+        with caches_disabled():
+            fresh = self._plan(nmos, backend="numpy",
+                               feedthrough_model="general")
+            assert served == fresh.evaluate_rows([2, 3, 4, 5, 5])
 
 
 class TestPlanTracing:

@@ -9,7 +9,9 @@ The contract under test is the one the bench and CI gates rely on:
 - corrupt or mismatched resume files raise :class:`CheckpointError`
   *before* any optimizer state is touched;
 - a compiled race keeps the plan its prefill compiled for each leaf:
-  no incremental engine, no plan-cache lookup after the prefill.
+  no incremental engine, no plan-cache lookup after the prefill;
+- a warm race over an unedited leaf reuses its scan and its plan's
+  estimates, and still walks the cold race's trajectory.
 """
 
 import json
@@ -28,8 +30,10 @@ from repro.floorplan.portfolio import (
     run_portfolio,
     write_checkpoint,
 )
+import repro.perf.batch as batch_module
 from repro.incremental import IncrementalEstimator
 from repro.perf.plan import clear_plan_cache, plan_cache_stats
+from repro.technology.libraries import nmos_process
 from repro.workloads.designs import generate_design
 
 
@@ -217,6 +221,30 @@ class TestCheckpointCorruption:
         with pytest.raises(CheckpointError, match="config"):
             run_portfolio(design, cmos, shifted, resume=good_payload)
 
+    def test_wrong_estimator_config(self, good_payload, design, cmos,
+                                    config):
+        other = PortfolioConfig(
+            steps=config.steps, seed=config.seed, checkpoint_every=20,
+            spot_checks=2,
+            estimator=EstimatorConfig(row_spread_mode="exact",
+                                      track_model="shared"),
+        )
+        with pytest.raises(CheckpointError, match="config"):
+            run_portfolio(design, cmos, other, resume=good_payload)
+
+    def test_wrong_process(self, good_payload, design, config):
+        with pytest.raises(CheckpointError, match="process"):
+            run_portfolio(design, nmos_process(), config,
+                          resume=good_payload)
+
+    def test_missing_process_field(self, good_payload, tmp_path):
+        path = tmp_path / "process.json"
+        write_checkpoint(str(path), {
+            k: v for k, v in good_payload.items() if k != "process"
+        })
+        with pytest.raises(CheckpointError, match="process"):
+            load_checkpoint(str(path))
+
     def test_rows_not_covering_modules(self, good_payload, design, cmos,
                                        config):
         searchers = {
@@ -257,6 +285,65 @@ class TestCheckpointCorruption:
                           resume={**good_payload, "searchers": searchers})
 
 
+class TestWarmRaces:
+    """Races over one design reuse each unedited leaf's scan and its
+    plan's estimates; every race still equals a cold race."""
+
+    CONFIG = PortfolioConfig(steps=80, seed=9, spot_checks=2,
+                             routability_weight=0.8)
+
+    @staticmethod
+    def _design():
+        return generate_design(12, seed=23, name="warm")
+
+    @staticmethod
+    def _edit(design):
+        leaf = design.leaves[4]
+        leaf.remove_device(leaf.devices[-1].name)
+        return leaf.name
+
+    @staticmethod
+    def _outcome(result):
+        return (
+            result.winner, result.best_cost, result.best_step,
+            dict(result.trajectory_hashes), dict(result.chip),
+            result.evaluations,
+        )
+
+    def _cold(self, process, edit=False):
+        clear_plan_cache()
+        design = self._design()
+        if edit:
+            self._edit(design)
+        return self._outcome(run_portfolio(design, process, self.CONFIG))
+
+    def test_warm_races_equal_cold_races(self, cmos, monkeypatch):
+        cold = self._cold(cmos)
+        cold_edited = self._cold(cmos, edit=True)
+        assert cold_edited != cold
+        scanned = []
+        original = batch_module.scan_module
+
+        def counting(module, *args, **kwargs):
+            scanned.append(module.name)
+            return original(module, *args, **kwargs)
+
+        monkeypatch.setattr(batch_module, "scan_module", counting)
+        clear_plan_cache()
+        design = self._design()
+        first = run_portfolio(design, cmos, self.CONFIG)
+        assert len(scanned) == design.module_count
+        del scanned[:]
+        second = run_portfolio(design, cmos, self.CONFIG)
+        assert scanned == []
+        assert self._outcome(first) == cold
+        assert self._outcome(second) == cold
+        edited_leaf = self._edit(design)
+        edited = run_portfolio(design, cmos, self.CONFIG)
+        assert scanned == [edited_leaf]
+        assert self._outcome(edited) == cold_edited
+
+
 class TestPlanCacheSharing:
     """A compiled race keeps the plan its prefill compiled for each
     leaf: no incremental engine, no plan-cache lookup after prefill."""
@@ -289,6 +376,16 @@ class TestFloorplanCommand:
         out = capsys.readouterr().out
         assert "portfolio" in out
         assert "winner" in out
+
+    def test_resume_under_another_process_is_refused(self, tmp_path,
+                                                     capsys):
+        path = str(tmp_path / "ck.json")
+        common = ["floorplan", "30", "--steps", "60", "--spot-checks", "0"]
+        assert main(common + ["--checkpoint", path,
+                              "--stop-after", "30"]) == 0
+        capsys.readouterr()
+        assert main(common + ["--tech", "cmos", "--resume", path]) == 1
+        assert "written under process" in capsys.readouterr().err
 
     def test_json_output_and_serial_match(self, tmp_path, capsys):
         fast = tmp_path / "fast.json"

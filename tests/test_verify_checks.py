@@ -20,7 +20,7 @@ from repro.verify.checks import (
 from repro.verify.checks import CHECKS, EVERY_CASE, Case
 from repro.verify.corpus import CaseSpec
 from repro.verify.envelope import verification_schedule
-from repro.verify.inject import perturbed_standard_cell
+from repro.verify.inject import perturbed_backend, perturbed_standard_cell
 from repro.verify.shrink import ShrinkResult, shrink_module, without_devices
 from repro.workloads.generators import random_gate_module
 
@@ -68,6 +68,17 @@ class TestEquivalenceChecks:
         with perturbed_standard_cell(1.2):
             pass
         assert check_plan_vs_direct(module, cmos).passed
+
+    def test_backend_injection_trips_after_warm_plans(self, module, cmos):
+        """Estimates the plans memoized before the injection can
+        neither hide the fault nor outlive it."""
+        pytest.importorskip("numpy")
+        assert check_backend_equivalence(module, cmos).passed
+        with perturbed_backend(1.3):
+            result = check_backend_equivalence(module, cmos)
+        assert not result.passed
+        assert "diverges" in result.detail
+        assert check_backend_equivalence(module, cmos).passed
 
     def test_incremental_equivalence_passes(self, module, cmos):
         result = check_incremental_equivalence(module, cmos)
