@@ -22,18 +22,19 @@ The perf story is the hot path.  The ``portfolio`` engine prefills the
 table through :func:`repro.perf.batch.estimate_batch` (one scan per
 module) and keeps the :class:`~repro.perf.plan.EstimationPlan` each
 prefill estimate came from: the race never edits a module, so that one
-plan serves every table miss (a row window through the batched NumPy
-row-sweep kernel) and every routability price for the whole run.  Each
-(module, rows) pair is priced once per race.  Across races the reuse
-follows the module: a leaf unedited since the last race keeps its scan
-and its plan's memoized estimates, so a warm race redoes only its
-search.  The ``serial`` engine is the before-picture: every query is a
-fresh :func:`~repro.core.standard_cell.estimate_standard_cell` rescan.
+plan serves every table miss and every routability price for the whole
+run.  Each (module, rows) pair is priced once per race.  Across races
+the reuse follows the module: a leaf unedited since the last race keeps
+its scan, its plan's memoized estimates and the prices the plan keeps,
+so a warm race prices nothing again and redoes only its search.  The
+``serial`` engine is the before-picture: every query is a fresh
+:func:`~repro.core.standard_cell.estimate_standard_cell` rescan.
 Both engines produce **bit-identical trajectories** (the plan-vs-direct
 and backend-equivalence invariants), which is itself a verify gate.
 
-Determinism and resume are structural, not incidental: every move draws
-from ``random.Random(f"{seed}:{searcher}:{step}")``, so the trajectory
+Determinism and resume are structural, not incidental: every move of a
+randomized searcher draws from
+``random.Random(f"{seed}:{searcher}:{step}")``, so the trajectory
 is a pure function of ``(design, config)`` and a checkpoint needs only
 per-searcher step indices plus running totals.  Checkpoints are
 validated wholesale before any optimizer state is touched
@@ -247,11 +248,18 @@ class CompiledEstimateServer:
 
     ``prefill`` runs one default-config estimate per module through
     :func:`estimate_batch` and keeps the plan each estimate came from,
-    the one object per module for the life of the run.  A miss
-    evaluates the row window around the missed count in one batched
-    ``evaluate_rows`` sweep of that plan, so steady-state moves are
-    pure table hits.  :meth:`price` prices each (module, rows) pair
-    once per race.
+    the one object per module for the life of the run.  A table miss
+    evaluates that plan at the missed row count.  :meth:`price` prices
+    each (module, rows) pair once per race, and a pair an earlier race
+    priced comes from the plan's price memo.
+
+    ``evaluations`` counts the estimates the race drew from its plans
+    (one per module in the prefill, then one per table miss) and
+    ``table_hits`` the estimate queries its table answered.  A price
+    served from the plan's memo files its estimate in the table through
+    the same query, so both counters are functions of the design, the
+    config and the engine, and a warm race reports what a cold race
+    reports.
     """
 
     engine_name = "portfolio"
@@ -289,36 +297,57 @@ class CompiledEstimateServer:
         self.evaluations += len(results)
         return initial
 
-    def estimate(self, name: str, rows: Optional[int]) -> StandardCellEstimate:
+    def estimate(
+        self,
+        name: str,
+        rows: Optional[int],
+        known: Optional[StandardCellEstimate] = None,
+    ) -> StandardCellEstimate:
+        """The table's estimate at (``name``, ``rows``): a table hit, or
+        one evaluation, which files ``known`` when the caller already
+        holds the estimate (a memoized price's) and asks the plan
+        otherwise."""
         if rows is None:
             raise FloorplanError(
                 f"module {name!r}: the compiled server is queried at "
                 "explicit row counts after prefill"
             )
-        cached = self._table.get((name, rows))
+        key = (name, rows)
+        cached = self._table.get(key)
         if cached is not None:
             self.table_hits += 1
             return cached
-        window = _spread_around(
-            rows,
-            2 * self._config.row_window + 1,
-            self._config.estimator.max_rows,
-        )
-        window = [r for r in window if (name, r) not in self._table]
-        for estimate in self._plans[name].evaluate_rows(window):
-            self._table[(name, estimate.rows)] = estimate
-        self.evaluations += len(window)
-        return self._table[(name, rows)]
+        if known is None:
+            known = self._plans[name].evaluate(rows)
+        self._table[key] = known
+        self.evaluations += 1
+        return known
 
     def price(self, name: str, rows: int) -> Tuple[float, float, float]:
-        """:func:`_price`, computed on the race's first query of the
-        pair and looked up on every later one."""
+        """:func:`_price`, found on the race's first query of the pair
+        and looked up on every later one."""
         key = (name, rows)
         price = self._prices.get(key)
         if price is None:
-            price = self._prices[key] = _price(
-                self, name, rows, self._config.routability_weight
-            )
+            price = self._prices[key] = self._first_price(name, rows)
+        return price
+
+    def _first_price(
+        self, name: str, rows: int
+    ) -> Tuple[float, float, float]:
+        """The pair's price from its plan's memo, or :func:`_price`
+        afresh and memoized there.  Either way the table holds the
+        estimate behind the price."""
+        weight = self._config.routability_weight
+        plan = self._plans[name]
+        key = (rows, self._capacity, weight)
+        memoized = plan.memoized_price(key)
+        if memoized is not None:
+            price, estimate = memoized
+            self.estimate(name, rows, estimate)
+            return price
+        price = _price(self, name, rows, weight)
+        plan.memoize_price(key, (price, self._table[(name, rows)]))
         return price
 
     def routability(self, name: str, rows: int) -> float:
@@ -335,8 +364,52 @@ class CompiledEstimateServer:
             rows, self._capacity
         ).routability
 
-    def table(self) -> Mapping[Tuple[str, int], StandardCellEstimate]:
-        return self._table
+    def spot_check(self) -> int:
+        """Recompute a deterministic sample of the race's priced pairs
+        on the exact backend from a fresh scan: the estimate behind
+        each price (width, height, area) and the price's own area and
+        width / height.  Any drift is a verification failure.  The race
+        prices the same pairs whether or not its plans' memos served
+        them, so a warm race checks the sample a cold race checks."""
+        keys = sorted(self._prices)
+        if not keys:
+            return 0
+        config = self._config
+        process = self._process
+        rng = random.Random(f"{config.seed}:spotcheck")
+        sample = rng.sample(keys, min(config.spot_checks, len(keys)))
+        estimator = config.estimator
+        for name, rows in sample:
+            stats = scan_module(
+                self._modules[name],
+                device_width=process.device_width,
+                device_height=process.device_height,
+                port_width=estimator.port_pitch_override
+                or process.port_pitch,
+                power_nets=estimator.power_nets,
+            )
+            exact = compile_plan(
+                stats, process, estimator.with_rows(rows), backend="exact"
+            ).evaluate(rows)
+            table = self._table[(name, rows)]
+            if (exact.width, exact.height, exact.area) != (
+                table.width, table.height, table.area
+            ):
+                raise VerificationError(
+                    f"spot check failed for {name!r} at {rows} rows: "
+                    f"table ({table.width}, {table.height}, {table.area})"
+                    f" != exact ({exact.width}, {exact.height}, "
+                    f"{exact.area})"
+                )
+            area, aspect, _ = self._prices[(name, rows)]
+            if (area, aspect) != (exact.area, exact.width / exact.height):
+                raise VerificationError(
+                    f"spot check failed for {name!r} at {rows} rows: "
+                    f"price (area {area}, width / height {aspect}) != "
+                    f"exact (area {exact.area}, width / height "
+                    f"{exact.width / exact.height})"
+                )
+        return len(sample)
 
 
 # ----------------------------------------------------------------------
@@ -440,16 +513,60 @@ def _best_row(
     return best_rows, best_cost
 
 
+#: How :func:`json.dumps` spells the floats :func:`float.__repr__`
+#: does not.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_literals(names) -> Dict[str, str]:
+    """Each name as a JSON string literal, escaped once per name."""
+    return {name: json.dumps(name) for name in names}
+
+
+def _step_record(
+    accepted: bool,
+    module: str,
+    move: str,
+    rows: int,
+    step: int,
+    total: float,
+    searcher: str,
+) -> str:
+    """One step's trajectory record, byte-identical to
+    ``json.dumps(entry, sort_keys=True, separators=(",", ":"))`` of
+    ``entry = {"a": accepted, "m": module, "o": move, "r": rows,
+    "s": step, "t": total, "w": searcher}``.
+
+    ``module``, ``move`` and ``searcher`` arrive as JSON string
+    literals (:func:`_json_literals`); ``total`` prints as
+    :func:`float.__repr__`, or as ``json`` spells a non-finite float.
+    """
+    text = float.__repr__(total)
+    return (
+        f'{{"a":{"true" if accepted else "false"},"m":{module},'
+        f'"o":{move},"r":{rows},"s":{step},'
+        f'"t":{_JSON_NON_FINITE.get(text, text)},"w":{searcher}}}'
+    )
+
+
 def _run_step(
     server,
     state: _SearcherState,
     config: PortfolioConfig,
     names: Sequence[str],
     permutation: Sequence[str],
+    literals: Mapping[str, str],
 ) -> None:
-    """Advance ``state`` by one move (the only place RNG is drawn)."""
+    """Advance ``state`` by one move (the only place RNG is drawn).
+
+    ``literals`` holds every module, searcher and move name as a JSON
+    string literal, for the step's trajectory record.
+    """
     step = state.step
-    rng = random.Random(f"{config.seed}:{state.name}:{step}")
+    # Greedy draws nothing, so it builds no RNG.
+    rng = None if state.name == "greedy" else random.Random(
+        f"{config.seed}:{state.name}:{step}"
+    )
     accepted = False
     move = "rows"
 
@@ -532,17 +649,9 @@ def _run_step(
             state.best_common = state.common_total
             state.best_step = step
             state.best_rows = dict(state.rows)
-    entry = {
-        "a": accepted,
-        "m": name,
-        "o": move,
-        "r": state.rows[name],
-        "s": step,
-        "t": state.total,
-        "w": state.name,
-    }
-    payload = state.hash + json.dumps(
-        entry, sort_keys=True, separators=(",", ":")
+    payload = state.hash + _step_record(
+        accepted, literals[name], literals[move], state.rows[name], step,
+        state.total, literals[state.name],
     )
     state.hash = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     state.step = step + 1
@@ -902,6 +1011,9 @@ def run_portfolio(
 
         permutation = list(names)
         random.Random(f"{config.seed}:permutation").shuffle(permutation)
+        literals = _json_literals(
+            (*names, *config.searchers, "rows", "aspect")
+        )
 
         limit = config.steps
         if stop_after is not None:
@@ -920,7 +1032,8 @@ def run_portfolio(
                 with tracer.span("portfolio.searcher", searcher=state.name,
                                  from_step=state.step, to_step=stop_at):
                     while state.step < stop_at:
-                        _run_step(server, state, config, names, permutation)
+                        _run_step(server, state, config, names,
+                                  permutation, literals)
                 state.wall_time += time.perf_counter() - chunk_started
             if checkpoint_path is not None:
                 write_checkpoint(
@@ -933,7 +1046,7 @@ def run_portfolio(
     winner = min(states, key=lambda s: (s.best_common, s.name))
     spot_checks = 0
     if engine == "portfolio" and config.spot_checks > 0:
-        spot_checks = _spot_check(design, process, config, server)
+        spot_checks = server.spot_check()
     elapsed = time.perf_counter() - started
 
     if tracer.enabled:
@@ -978,7 +1091,7 @@ def run_portfolio(
 
 
 # ----------------------------------------------------------------------
-# chip report + spot checks
+# chip report
 # ----------------------------------------------------------------------
 def _pack_chip(
     design: HierarchicalDesign,
@@ -1031,40 +1144,3 @@ def _pack_chip(
         "utilization": module_area / chip_area if chip_area > 0 else 0.0,
         "hpwl": hpwl,
     }
-
-
-def _spot_check(
-    design: HierarchicalDesign,
-    process: ProcessDatabase,
-    config: PortfolioConfig,
-    server: CompiledEstimateServer,
-) -> int:
-    """Recompute a deterministic sample of table entries on the exact
-    backend from a fresh scan; any drift is a verification failure."""
-    keys = sorted(server.table())
-    if not keys:
-        return 0
-    rng = random.Random(f"{config.seed}:spotcheck")
-    sample = rng.sample(keys, min(config.spot_checks, len(keys)))
-    estimator = config.estimator
-    for name, rows in sample:
-        stats = scan_module(
-            design.module(name),
-            device_width=process.device_width,
-            device_height=process.device_height,
-            port_width=estimator.port_pitch_override or process.port_pitch,
-            power_nets=estimator.power_nets,
-        )
-        exact = compile_plan(
-            stats, process, estimator.with_rows(rows), backend="exact"
-        ).evaluate(rows)
-        table = server.table()[(name, rows)]
-        if (exact.width, exact.height, exact.area) != (
-            table.width, table.height, table.area
-        ):
-            raise VerificationError(
-                f"spot check failed for {name!r} at {rows} rows: table "
-                f"({table.width}, {table.height}, {table.area}) != exact "
-                f"({exact.width}, {exact.height}, {exact.area})"
-            )
-    return len(sample)

@@ -45,7 +45,9 @@ from repro.netlist.model import Module
 from repro.netlist.stats import ModuleStatistics, scan_module
 from repro.obs.trace import current_tracer
 from repro.perf.backends import resolve_backend_name
-from repro.perf.plan import EstimationPlan, get_plan, reuse_generation
+from repro.perf.plan import (
+    EstimationPlan, get_plan, note_scan_reuse, reuse_generation,
+)
 from repro.technology.process import ProcessDatabase
 
 #: Methodologies the batch executor understands.
@@ -263,6 +265,7 @@ def _scan(
             and held.power_nets == power_nets
             and held.stats.module_name == module.name
         ):
+            note_scan_reuse()
             return held.stats
     with tracer.span("scan") as span:
         stats = scan_module(

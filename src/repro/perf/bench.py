@@ -100,6 +100,10 @@ DEFAULT_OUTPUT = "BENCH_batch_engine.json"
 PORTFOLIO_MODULES = 1000
 PORTFOLIO_MODULES_SMOKE = 48
 
+#: Back-to-back (unscored, scored) warm races whose median wall-time
+#: ratio is the gated ``floorplan_scored_overhead``.
+OVERHEAD_PAIRS = 5
+
 #: Row counts for the synthetic sweep: 8 counts, the Table 2 ballpark.
 SWEEP_ROW_COUNTS: Tuple[int, ...] = tuple(range(2, 10))
 
@@ -620,7 +624,7 @@ def run_bench(
     # Identical trajectories by construction (same seed, same searcher
     # code; only the estimate server differs), so the ratio isolates
     # what the compiled hot path buys: one batch-prefilled plan per
-    # module, evaluated a row window at a time, versus one fresh
+    # module, evaluated once per (module, rows) pair, versus one fresh
     # scan-and-estimate per query.
     # A mid-run checkpoint is resumed to completion and must replay the
     # winning trajectory bit-identically.
@@ -678,38 +682,26 @@ def run_bench(
     )
     # ---- congestion phase: routability-scored vs unscored sweep ------
     # Same design, same seed, same step budget; the only difference is
-    # the routability term in the move cost, which prices every
-    # (module, rows) probe through the plan cache's congestion memo.
-    # Both sides of the gated ratio are *steady-state* runs (caches
-    # left warm from a prior run of the same config), because that is
-    # the regime repeated sweeps live in and it is the regime the memo
-    # protects: if the per-plan congestion memo regresses, the warm
-    # scored run re-prices every probe and the ratio blows straight
-    # past the gate.  The one-time cold warm-up (one congestion
-    # distribution per unique (module, rows) probed) is timed
-    # separately as floorplan_scored_cold and not gated.
+    # the routability term in the move cost.  Both sides of the gated
+    # ratio are *steady-state* races (caches left warm by a prior race
+    # of the same config), the regime repeated sweeps live in.  There
+    # each leaf's plan serves every price an earlier race found, so a
+    # warm race prices nothing; the gate guards that price memo: if it
+    # stopped serving prices at weight > 0, the warm scored race would
+    # reprice every (module, rows) pair, congestion included, and the
+    # ratio would rise toward the gate.  Warm races last tens of
+    # milliseconds, where one race's wall time is mostly host noise, so
+    # the ratio is the median of OVERHEAD_PAIRS back-to-back (unscored,
+    # scored) pairs, not a ratio of two separately timed minima.  The
+    # cold scored race (one congestion distribution per (module, rows)
+    # pair it prices) over the cold unscored race is recorded beside it
+    # as floorplan_scored_cold_overhead, ungated.
     import dataclasses as dataclasses_module
+    import statistics
 
     fp_scored_config = dataclasses_module.replace(
         fp_config, routability_weight=0.8
     )
-
-    def timed_warm(name: str, config):
-        # Best-of-3 single runs: the warm sweeps finish in tens of
-        # milliseconds, where single-shot wall time is noise-dominated
-        # and would flap the overhead gate.  The runs are
-        # deterministic, so taking the fastest repeat changes only the
-        # timing, never the result.
-        best = math.inf
-        result = None
-        for _ in range(3):
-            start = time.perf_counter()
-            result = run_portfolio(
-                fp_design, process, config, engine="portfolio",
-            )
-            best = min(best, time.perf_counter() - start)
-        phases.append({"name": name, "seconds": best, "items": fp_moves})
-        return result
 
     def floorplan_scored_cold():
         clear_kernel_caches()
@@ -718,10 +710,28 @@ def run_bench(
             fp_design, process, fp_scored_config, engine="portfolio",
         )
 
-    fp_unscored_warm = timed_warm("floorplan_unscored_warm", fp_config)
+    def warm_race(config):
+        start = time.perf_counter()
+        result = run_portfolio(
+            fp_design, process, config, engine="portfolio",
+        )
+        return time.perf_counter() - start, result
+
     fp_scored_cold = timed("floorplan_scored_cold", fp_moves,
                            floorplan_scored_cold)
-    fp_scored = timed_warm("floorplan_scored", fp_scored_config)
+    warm_race(fp_config)  # the cold race above forgot unscored prices
+    warm_pairs: List[Tuple[float, float]] = []
+    for _ in range(OVERHEAD_PAIRS):
+        unscored_seconds, fp_unscored_warm = warm_race(fp_config)
+        scored_seconds, fp_scored = warm_race(fp_scored_config)
+        warm_pairs.append((unscored_seconds, scored_seconds))
+    for name, side in (("floorplan_unscored_warm", 0),
+                       ("floorplan_scored", 1)):
+        phases.append({
+            "name": name,
+            "seconds": statistics.median(pair[side] for pair in warm_pairs),
+            "items": fp_moves,
+        })
     equivalence["floorplan_scored_determinism"] = (
         fp_scored_cold.trajectory_hashes == fp_scored.trajectory_hashes
         and fp_scored_cold.winner == fp_scored.winner
@@ -807,12 +817,16 @@ def run_bench(
     speedups["floorplan_portfolio_vs_serial"] = _ratio(
         timings["floorplan_serial"], timings["floorplan_portfolio"]
     )
-    # The congestion number is an *overhead*, not a speedup: scored
-    # steady-state wall time over unscored steady-state wall time, so
-    # 1.0 means routability pricing is free and the gate asserts an
-    # upper bound.
-    speedups["floorplan_scored_overhead"] = _ratio(
-        timings["floorplan_scored"], timings["floorplan_unscored_warm"]
+    # The congestion numbers are *overheads*, not speedups: scored
+    # wall time over unscored wall time, so 1.0 means routability
+    # pricing is free.  The gate asserts an upper bound on the warm
+    # one, the median of the paired ratios; the cold one is recorded
+    # only.
+    speedups["floorplan_scored_overhead"] = statistics.median(
+        _ratio(scored, unscored) for unscored, scored in warm_pairs
+    )
+    speedups["floorplan_scored_cold_overhead"] = _ratio(
+        timings["floorplan_scored_cold"], timings["floorplan_portfolio"]
     )
 
     return {

@@ -340,8 +340,19 @@ def _row_spread_pmf(components: int, rows: int, mode: str) -> Tuple[float, ...]:
         math.comb(rows, i) * counts[i - 1]
         for i in range(1, max_spread + 1)
     ]
-    weights = [value / denominator for value in raw]
-    total = sum(weights)
+    try:
+        weights = [value / denominator for value in raw]
+        total = sum(weights)
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        # A net of a few hundred components (D = 299 at 16 rows, 1000
+        # at 4): raw_i / n**min(n, D), or their sum, is beyond a float.
+        # Each weight is then the exact ratio raw_i / sum(raw),
+        # correctly rounded by integer true division.  Everywhere else
+        # the arithmetic, and so every result, is unchanged.
+        exact_total = sum(raw)
+        return tuple(value / exact_total for value in raw)
     if total <= 0:
         raise EstimationError(
             f"degenerate row-spread distribution for D={components}, n={rows}"

@@ -30,11 +30,15 @@ workload.
 
 A plan also memoizes its estimates per requested row count, so a
 caller that asks an unedited module the same question twice (the
-floorplan race, a served session) evaluates once.  That memo, and the
-scan reuse of :func:`repro.perf.batch.estimate_batch`, follow one rule
-(:func:`reuse_generation`): both are off under
+floorplan race, a served session) evaluates once, and it keeps the
+floorplan race's prices of its module
+(:meth:`EstimationPlan.memoized_price`), so a later race over the
+unedited module prices nothing again.  Those memos, and the scan reuse
+of :func:`repro.perf.batch.estimate_batch`, follow one rule
+(:func:`reuse_generation`): they are off under
 :func:`~repro.perf.kernels.caches_disabled` and while the tracer
-collects, and :func:`clear_plan_cache` forgets both.
+collects, and :func:`clear_plan_cache` forgets them all.  Their hits
+are counted in :func:`plan_cache_stats`.
 """
 
 from __future__ import annotations
@@ -71,8 +75,8 @@ class EstimationPlan:
         "stats", "process", "config", "histogram", "net_sizes",
         "net_counts", "routed_net_count", "device_count", "average_width",
         "cell_area", "row_height", "track_pitch", "feedthrough_unit_width",
-        "backend_name", "_congestion_memo", "_estimates",
-        "_estimates_generation",
+        "backend_name", "_congestion_memo", "_estimates", "_prices",
+        "_generation",
     )
 
     def __init__(
@@ -113,19 +117,51 @@ class EstimationPlan:
         self._congestion_memo: Dict[Tuple[int, int], object] = {}
         #: requested rows -> estimate, valid for one reuse generation.
         self._estimates: Dict[Optional[int], StandardCellEstimate] = {}
-        self._estimates_generation = -1
+        #: (rows, capacity, weight) -> the floorplan race's price, valid
+        #: for the same generation; allocated on the first price, so a
+        #: plan nobody prices (``mae serve``'s) carries no dict.
+        self._prices: Optional[Dict[tuple, tuple]] = None
+        self._generation = -1
 
     def _memo(
         self, tracer
     ) -> Optional[Dict[Optional[int], StandardCellEstimate]]:
-        """The estimates memo, or ``None`` while reuse is off."""
+        """The estimates memo, or ``None`` while reuse is off.  A new
+        reuse generation starts both memos empty."""
         generation = reuse_generation(tracer)
         if generation is None:
             return None
-        if self._estimates_generation != generation:
+        if self._generation != generation:
             self._estimates = {}
-            self._estimates_generation = generation
+            self._prices = None
+            self._generation = generation
         return self._estimates
+
+    def memoized_price(self, key: tuple) -> Optional[tuple]:
+        """The price memoized under ``key``, or ``None``.
+
+        The floorplan race
+        (:class:`repro.floorplan.portfolio.CompiledEstimateServer`)
+        keys its prices of this plan's module by ``(rows, channel
+        capacity, routability weight)``: the plan fixes everything else
+        a price depends on (the scan, the process constants, the config
+        apart from rows, the backend).  ``None`` means a miss, or that
+        reuse is off (:func:`reuse_generation`).
+        """
+        if self._memo(current_tracer()) is None or self._prices is None:
+            return None
+        price = self._prices.get(key)
+        if price is not None:
+            _PLAN_COUNTERS["price_memo_hits"] += 1
+        return price
+
+    def memoize_price(self, key: tuple, price: tuple) -> None:
+        """File ``price`` under ``key`` (a no-op while reuse is off)."""
+        if self._memo(current_tracer()) is None:
+            return
+        if self._prices is None:
+            self._prices = {}
+        self._prices[key] = price
 
     def evaluate(self, rows: Optional[int] = None) -> StandardCellEstimate:
         """The Eq. 12 estimate at ``rows`` (``None``: Section 5 rows)."""
@@ -136,6 +172,8 @@ class EstimationPlan:
             estimate = self._evaluate(rows, tracer)
             if memo is not None:
                 memo[rows] = estimate
+        else:
+            _PLAN_COUNTERS["estimate_memo_hits"] += 1
         _note_evaluation()
         return estimate
 
@@ -210,6 +248,7 @@ class EstimationPlan:
         _note_evaluation(len(row_counts))
         if memo is None:
             return tuple(estimates)
+        _PLAN_COUNTERS["estimate_memo_hits"] += len(row_counts) - len(todo)
         memo.update(zip(todo, estimates))
         return tuple(memo[rows] for rows in row_counts)
 
@@ -365,9 +404,13 @@ def compile_plan(
 # the process-wide plan cache
 # ----------------------------------------------------------------------
 _PLAN_CACHE: Dict[tuple, EstimationPlan] = {}
-_PLAN_COUNTERS = {"hits": 0, "compilations": 0, "evaluations": 0}
-#: Cross-call reuse (plan estimate memos, ``estimate_batch`` scans) is
-#: valid within one generation; :func:`clear_plan_cache` starts the next.
+_PLAN_COUNTERS = {
+    "hits": 0, "compilations": 0, "evaluations": 0,
+    "estimate_memo_hits": 0, "price_memo_hits": 0, "scans_reused": 0,
+}
+#: Cross-call reuse (plan estimate and price memos, ``estimate_batch``
+#: scans) is valid within one generation; :func:`clear_plan_cache`
+#: starts the next.
 _REUSE = {"generation": 0}
 
 
@@ -442,21 +485,33 @@ def _note_evaluation(count: int = 1) -> None:
     _PLAN_COUNTERS["evaluations"] += count
 
 
+def note_scan_reuse() -> None:
+    """Count one ``estimate_batch`` scan served from an earlier call."""
+    _PLAN_COUNTERS["scans_reused"] += 1
+
+
 def plan_cache_stats() -> Dict[str, int]:
     """Per-process plan statistics: cache hits, compilations (cache
-    misses plus direct :func:`compile_plan` calls), entries, and total
-    evaluations."""
+    misses plus direct :func:`compile_plan` calls), entries, total
+    evaluations (memoized or not), and the hits of each cross-call
+    reuse layer: ``estimate_memo_hits`` (estimates served from a plan's
+    memo), ``price_memo_hits`` (floorplan prices served from a plan's
+    memo) and ``scans_reused`` (``estimate_batch`` scans served from an
+    earlier call)."""
     return {
         "hits": _PLAN_COUNTERS["hits"],
         "compilations": _PLAN_COUNTERS["compilations"],
         "entries": len(_PLAN_CACHE),
         "evaluations": _PLAN_COUNTERS["evaluations"],
+        "estimate_memo_hits": _PLAN_COUNTERS["estimate_memo_hits"],
+        "price_memo_hits": _PLAN_COUNTERS["price_memo_hits"],
+        "scans_reused": _PLAN_COUNTERS["scans_reused"],
     }
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan, forget every plan's estimates memo and
-    every reusable ``estimate_batch`` scan, and reset the counters."""
+    """Drop every cached plan, forget every plan's memos and every
+    reusable ``estimate_batch`` scan, and reset the counters."""
     _PLAN_CACHE.clear()
     _REUSE["generation"] += 1
     for name in _PLAN_COUNTERS:

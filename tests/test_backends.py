@@ -24,6 +24,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +45,12 @@ from repro.perf.backends.numpy64 import (
     ROUND_EPSILON,
     NumpyBackend,
 )
-from repro.perf.kernels import clear_kernel_caches
+from repro.perf.kernels import (
+    clear_kernel_caches,
+    row_spread_pmf,
+    surjection_table,
+    tracks_for_net,
+)
 from repro.units import round_up
 
 ROWS_SET = (1, 2, 3, 4, 5, 8)
@@ -277,6 +283,53 @@ class TestNumpyEdgeCases:
         stats = backend.stats()
         assert stats["evaluations"] == 0
         assert stats["triangle_depth"] == 0
+
+
+class TestHighFanoutNets:
+    """The exact kernels answer for nets of hundreds of components,
+    where the float division of the row-spread weights overflows."""
+
+    #: (D, n) points where ``raw_i / n**min(n, D)`` is beyond a float.
+    OVERFLOWING = ((299, 16), (361, 8), (1000, 4), (5000, 16))
+    #: (D, n) points where each weight is a float but their sum is not
+    #: (the PMF used to come out all zeros).
+    INFINITE_SUM = ((272, 16), (236, 33), (232, 54))
+
+    @staticmethod
+    def _ratio_pmf(components, rows):
+        limit = min(components, rows)
+        counts = surjection_table(components, limit)
+        raw = [math.comb(rows, i) * counts[i - 1]
+               for i in range(1, limit + 1)]
+        return tuple(float(Fraction(value, sum(raw))) for value in raw)
+
+    @pytest.mark.parametrize("components, rows", OVERFLOWING)
+    def test_exact_tracks_match_numpy(self, components, rows):
+        backend = numpy_or_skip()
+        assert (tracks_for_net(components, rows),) == (
+            backend.tracks_for_histogram(((components, 1),), rows, "paper")
+        )
+
+    @pytest.mark.parametrize("components, rows",
+                             OVERFLOWING + INFINITE_SUM)
+    def test_pmf_is_the_exact_ratio(self, components, rows):
+        assert row_spread_pmf(components, rows) == self._ratio_pmf(
+            components, rows
+        )
+        assert tracks_for_net(components, rows) == min(components, rows)
+
+    def test_finite_weights_keep_their_arithmetic(self):
+        # Where the weights are floats they stay normalised floats, not
+        # exact ratios (which differ in the last bit at D = 41, n = 16):
+        # the committed envelopes depend on it.
+        components, rows = 41, 16
+        counts = surjection_table(components, rows)
+        weights = [math.comb(rows, i) * counts[i - 1] / rows ** rows
+                   for i in range(1, rows + 1)]
+        total = sum(weights)
+        assert row_spread_pmf(components, rows) == tuple(
+            weight / total for weight in weights
+        )
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,27 @@ class TestEstimateCommand:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_exact_backend_answers_a_high_fanout_net(self, tmp_path, capsys):
+        # 400 flip-flops on one clock net: the exact row-spread kernel
+        # once raised a bare OverflowError here.
+        flops = 400
+        lines = ["module clocked (clk, d, q);", "  input clk, d;",
+                 "  output q;"]
+        for i in range(flops):
+            source = "d" if i == 0 else f"n{i - 1}"
+            sink = "q" if i == flops - 1 else f"n{i}"
+            lines.append(
+                f"  DFF f{i} (.d({source}), .clk(clk), .q({sink}));"
+            )
+        lines.append("endmodule")
+        path = tmp_path / "clocked.v"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["--backend", "exact", "estimate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "1 nets of D=400" in out
+        assert "standard-cell:" in out
+
+
 class TestScanCommand:
     def test_prints_statistics(self, verilog_file, capsys):
         assert main(["scan", str(verilog_file)]) == 0

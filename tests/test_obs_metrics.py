@@ -52,7 +52,8 @@ class TestMetricsRegistry:
                 "hits", "misses", "entries", "bypasses", "hit_rate"
             }
         assert set(snapshot["plans"]) == {
-            "hits", "compilations", "entries", "evaluations"
+            "hits", "compilations", "entries", "evaluations",
+            "estimate_memo_hits", "price_memo_hits", "scans_reused",
         }
         assert set(snapshot["triangle"]) == {
             "depth", "limit", "extensions", "cells"

@@ -339,6 +339,15 @@ class TestBenchRecord:
         assert record["smoke"] is True
         assert record["equivalence"]["synthetic_jobs1"] is True
 
+    def test_scored_overheads_are_recorded(self, record):
+        speedups = record["speedups"]
+        assert speedups["floorplan_scored_overhead"] > 0
+        assert speedups["floorplan_scored_cold_overhead"] > 0
+        # Records written before the cold ratio existed still validate.
+        older = dict(speedups)
+        del older["floorplan_scored_cold_overhead"]
+        validate_bench_record({**record, "speedups": older})
+
     def test_round_trip(self, record, tmp_path):
         path = write_bench_record(record, tmp_path / "bench.json")
         assert load_bench_record(path) == json.loads(path.read_text())

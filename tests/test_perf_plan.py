@@ -275,6 +275,72 @@ class TestEstimateMemo:
             assert served == fresh.evaluate_rows([2, 3, 4, 5, 5])
 
 
+class TestPriceMemo:
+    """A plan keeps the floorplan race's prices under the estimate
+    memo's rule: off under caches_disabled() and while the tracer
+    collects, forgotten by clear_plan_cache(), and allocated only when
+    something is priced."""
+
+    KEY = (4, 9, 0.8)
+    PRICE = ((1.0, 2.0, 1.1), "estimate")
+
+    @pytest.fixture
+    def plan(self, nmos):
+        clear_plan_cache()
+        return compile_plan(
+            stats_from_histogram(((2, 3), (4, 2))), nmos, EstimatorConfig()
+        )
+
+    def test_memoizes_and_counts_hits(self, plan):
+        assert plan.memoized_price(self.KEY) is None
+        plan.memoize_price(self.KEY, self.PRICE)
+        assert plan.memoized_price(self.KEY) is self.PRICE
+        assert plan.memoized_price(self.KEY) is self.PRICE
+        assert plan.memoized_price((4, 9, 0.0)) is None
+        assert plan_cache_stats()["price_memo_hits"] == 2
+
+    def test_unpriced_plan_carries_no_dict(self, plan):
+        plan.evaluate(4)
+        assert plan.memoized_price(self.KEY) is None
+        assert plan._prices is None
+
+    def test_caches_disabled_and_tracer_turn_it_off(self, plan):
+        with caches_disabled():
+            plan.memoize_price(self.KEY, self.PRICE)
+        assert plan.memoized_price(self.KEY) is None
+        plan.memoize_price(self.KEY, self.PRICE)
+        with caches_disabled():
+            assert plan.memoized_price(self.KEY) is None
+        with use_tracer(Tracer()):
+            assert plan.memoized_price(self.KEY) is None
+        assert plan.memoized_price(self.KEY) is self.PRICE
+        assert plan_cache_stats()["price_memo_hits"] == 1
+
+    def test_clear_plan_cache_forgets_prices_and_counters(self, plan):
+        plan.memoize_price(self.KEY, self.PRICE)
+        assert plan.memoized_price(self.KEY) is self.PRICE
+        clear_plan_cache()
+        assert plan_cache_stats()["price_memo_hits"] == 0
+        assert plan.memoized_price(self.KEY) is None
+
+    def test_estimate_memo_hits_are_counted(self, plan):
+        plan.evaluate(4)
+        plan.evaluate(4)
+        plan.evaluate_rows([4, 5, 5])
+        assert plan_cache_stats()["estimate_memo_hits"] == 3
+
+    def test_batched_estimate_memo_hits_are_counted(self, nmos):
+        pytest.importorskip("numpy")
+        clear_plan_cache()
+        plan = compile_plan(
+            stats_from_histogram(((2, 3), (4, 2))), nmos,
+            EstimatorConfig(), backend="numpy",
+        )
+        plan.evaluate_rows([3, 4])
+        plan.evaluate_rows([2, 3, 4, 4])
+        assert plan_cache_stats()["estimate_memo_hits"] == 3
+
+
 class TestPlanTracing:
     def test_traced_evaluate_matches_direct_counters(self, nmos):
         stats = stats_from_histogram(((2, 4), (5, 2)))

@@ -18,21 +18,31 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.config import EstimatorConfig
-from repro.errors import CheckpointError, FloorplanError
+from repro.errors import CheckpointError, FloorplanError, VerificationError
 from repro.floorplan.portfolio import (
     CHECKPOINT_KIND,
     CHECKPOINT_VERSION,
+    SEARCHERS,
+    CompiledEstimateServer,
     PortfolioConfig,
+    _json_literals,
+    _step_record,
     load_checkpoint,
     run_portfolio,
     write_checkpoint,
 )
 import repro.perf.batch as batch_module
 from repro.incremental import IncrementalEstimator
-from repro.perf.plan import clear_plan_cache, plan_cache_stats
+from repro.perf.plan import (
+    EstimationPlan,
+    clear_plan_cache,
+    plan_cache_stats,
+)
 from repro.technology.libraries import nmos_process
 from repro.workloads.designs import generate_design
 
@@ -342,6 +352,101 @@ class TestWarmRaces:
         edited = run_portfolio(design, cmos, self.CONFIG)
         assert scanned == [edited_leaf]
         assert self._outcome(edited) == cold_edited
+
+
+class TestReuseCounters:
+    """``plan_cache_stats()`` counts each reuse layer: a cold race hits
+    none of them; a warm race over the unedited design reuses every
+    leaf's scan and finds every price it asks for in the plans."""
+
+    CONFIG = TestWarmRaces.CONFIG
+    NEW = ("estimate_memo_hits", "price_memo_hits", "scans_reused")
+
+    def test_warm_race_hits_every_layer(self, cmos, monkeypatch):
+        priced = set()
+        original = CompiledEstimateServer.price
+
+        def recording(self, name, rows):
+            priced.add((name, rows))
+            return original(self, name, rows)
+
+        monkeypatch.setattr(CompiledEstimateServer, "price", recording)
+        clear_plan_cache()
+        design = TestWarmRaces._design()
+        cold = run_portfolio(design, cmos, self.CONFIG)
+        assert [cold.plan_cache[key] for key in self.NEW] == [0, 0, 0]
+        priced.clear()
+        warm = run_portfolio(design, cmos, self.CONFIG)
+        assert warm.plan_cache["price_memo_hits"] == len(priced)
+        assert warm.plan_cache["scans_reused"] == design.module_count == 12
+        # The prefill's Section 5 estimates, one per leaf.
+        assert warm.plan_cache["estimate_memo_hits"] == 12
+        assert (warm.evaluations, warm.table_hits) == (
+            cold.evaluations, cold.table_hits
+        )
+
+    def test_spot_checks_compare_the_price(self, cmos, monkeypatch):
+        clear_plan_cache()
+        design = TestWarmRaces._design()
+        run_portfolio(design, cmos, self.CONFIG)
+        original = EstimationPlan.memoized_price
+
+        def inflated(self, key):
+            memoized = original(self, key)
+            if memoized is None:
+                return None
+            (area, aspect, factor), estimate = memoized
+            return (area * 1.3, aspect, factor), estimate
+
+        monkeypatch.setattr(EstimationPlan, "memoized_price", inflated)
+        with pytest.raises(VerificationError, match="price"):
+            run_portfolio(design, cmos, self.CONFIG)
+
+
+class TestStepRecord:
+    """The step record is formatted directly, byte-identical to the
+    ``json.dumps`` spelling the trajectory hashes were defined by."""
+
+    @staticmethod
+    def _both(accepted, module, move, rows, step, total, searcher):
+        literals = _json_literals((module, move, searcher))
+        entry = {"a": accepted, "m": module, "o": move, "r": rows,
+                 "s": step, "t": total, "w": searcher}
+        return (
+            _step_record(accepted, literals[module], literals[move], rows,
+                         step, total, literals[searcher]),
+            json.dumps(entry, sort_keys=True, separators=(",", ":")),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        accepted=st.booleans(),
+        module=st.text(),
+        move=st.sampled_from(("rows", "aspect")),
+        rows=st.integers(min_value=1),
+        step=st.integers(min_value=0),
+        total=st.floats(),
+        searcher=st.sampled_from(SEARCHERS),
+    )
+    @example(True, '"q\\b\x00\x1f\x7f\n é\u2028\U0001F600', "rows",
+             1, 0, -0.0, "greedy")
+    @example(False, "m", "aspect", 64, 10**6, 5e-324, "mixed")
+    @example(False, "m", "rows", 3, 7, math.nan, "annealing")
+    @example(True, "m", "rows", 3, 7, math.inf, "annealing")
+    @example(True, "m", "aspect", 3, 7, -math.inf, "mixed")
+    def test_matches_json_dumps(self, accepted, module, move, rows, step,
+                                total, searcher):
+        record, reference = self._both(accepted, module, move, rows, step,
+                                       total, searcher)
+        assert record == reference
+
+    @pytest.mark.parametrize("searcher", SEARCHERS)
+    @pytest.mark.parametrize("move", ("rows", "aspect"))
+    def test_every_searcher_and_move(self, searcher, move):
+        for total in (0.0, 1.5, 48802772.935308665, -2.5e-310):
+            record, reference = self._both(False, "leaf_07", move, 5, 12,
+                                           total, searcher)
+            assert record == reference
 
 
 class TestPlanCacheSharing:

@@ -9,13 +9,18 @@ re-recording.
 (Loose tolerances are deliberate: these are drift alarms, not physics.)
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.config import EstimatorConfig
 from repro.core.full_custom import estimate_full_custom
 from repro.core.standard_cell import estimate_standard_cell
 from repro.experiments.iterations import run_iteration_experiment
+from repro.floorplan.portfolio import PortfolioConfig, run_portfolio
 from repro.technology.libraries import nmos_process
+from repro.workloads.designs import generate_design
 from repro.workloads.suites import table1_suite, table2_suite
 
 PROCESS = nmos_process()
@@ -116,3 +121,59 @@ class TestIterationPins:
         assert naive.history[0].misfits == comparison.module_names
         assert naive.history[1].misfits == ()
         assert naive.final_area == pytest.approx(278_806.0, abs=0.01)
+
+
+#: routability weight -> (winner, repr(best cost), best step, SHA-256 of
+#: the sorted best rows as JSON, trajectory hash per searcher) of a
+#: 200-step race over ``generate_design(60, seed=11)``.
+FLOORPLAN_PINS = {
+    0.8: (
+        "greedy", "5143398.040802139", 101,
+        "7b02c7e9408bf2af080335ec9dbdb12822e3e4f718323d051e9ffc2ebfb49918",
+        {
+            "annealing": "5b9f14c32f1445e38ca9349460deb9e6"
+                         "b1c58674fb6f352a8acfd16ded2a8127",
+            "greedy": "c71b08202b4e8040e0e1994f38de006e"
+                      "7d14ff6bc671786cbb5e92608abcc723",
+            "mixed": "c118964b5c29609ff82aeeabd04810e8"
+                     "fff8ad6db630f1edbb16b9d24cce6efe",
+        },
+    ),
+    0.0: (
+        "greedy", "3771911.5177877923", 59,
+        "53e1de47c463c46fdccf96cb8fbe8bca27f73606106922c203a5e71c54396a7a",
+        {
+            "annealing": "2874be4146b715c5b2405edd26951d78"
+                         "2e92c0dc1a885fd86017ff38d300d19e",
+            "greedy": "535c43f6dfb157086f02bc85a7c6fc1e"
+                      "e09ac8897eaf95df57b2d6c0fb4b2351",
+            "mixed": "38cc97c91d20b31feedaaa2ffeeaca67"
+                     "ca05727959e352e677f52e9438dec126",
+        },
+    ),
+}
+
+
+class TestFloorplanPins:
+    """Exact pins of two floorplan races, one scored and one not.
+
+    The engines are compared with each other elsewhere; these pins
+    compare the race with its own past, so a change to the move rules,
+    the pricing, the RNG seeding or the step-record spelling shows here
+    under every backend.
+    """
+
+    @pytest.mark.parametrize("weight", sorted(FLOORPLAN_PINS))
+    def test_race_trajectory(self, weight):
+        result = run_portfolio(
+            generate_design(60, seed=11),
+            PROCESS,
+            PortfolioConfig(steps=200, seed=11, routability_weight=weight),
+        )
+        rows = hashlib.sha256(
+            json.dumps(sorted(result.best_rows.items())).encode()
+        ).hexdigest()
+        assert (
+            result.winner, repr(result.best_cost), result.best_step, rows,
+            dict(result.trajectory_hashes),
+        ) == FLOORPLAN_PINS[weight]
