@@ -23,10 +23,9 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.core.config import EstimatorConfig
+from repro.core.config import EstimatorConfig, scan_for
 from repro.core.estimator import ModuleAreaEstimator
 from repro.errors import ReproError
-from repro.netlist.stats import scan_module
 from repro.technology.libraries import builtin_processes
 from repro.technology.loader import save_process_file
 from repro.units import format_area
@@ -384,10 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "--check incremental_equivalence; a named "
                              "check runs even under --skip-envelope")
     verify.add_argument("--inject", type=float, default=None, metavar="X",
-                        help="self-test: scale the direct standard-cell "
-                             "path AND the numpy backend's track kernel "
-                             "by X and require the harness to catch both "
-                             "divergences")
+                        help="self-test: scale the Eq. 12 assembly "
+                             "every standard-cell estimate runs AND the "
+                             "numpy backend's track kernel by X, and "
+                             "require plan_vs_direct (and, with numpy, "
+                             "backend_equivalence) to catch them")
     verify.add_argument("--backend-report", default=None, metavar="FILE",
                         help="write the numpy-vs-exact float error "
                              "envelope backend_equivalence measured "
@@ -618,12 +618,7 @@ def _cmd_scan(args) -> None:
     process = _resolve_process(args)
     estimator = ModuleAreaEstimator(process)
     module = estimator.load_schematic(args.schematic)
-    stats = scan_module(
-        module,
-        device_width=process.device_width,
-        device_height=process.device_height,
-        port_width=process.port_pitch,
-    )
+    stats = scan_for(module, process)
     print(stats.describe())
     print("width histogram (W_i, X_i):", list(stats.width_histogram))
     print("net sizes (D, y_D):", list(stats.net_size_histogram))
@@ -1052,8 +1047,10 @@ def _cmd_verify(args) -> None:
     from contextlib import ExitStack
 
     from repro.errors import VerificationError
+    from repro.perf.backends import available_backends
     from repro.verify import (
         VerifyOptions,
+        check_named,
         load_records,
         perturbed_backend,
         perturbed_standard_cell,
@@ -1091,9 +1088,11 @@ def _cmd_verify(args) -> None:
     injected = args.inject is not None
     with ExitStack() as stack:
         if injected:
-            # The estimator perturbation trips plan_vs_direct; the
-            # backend perturbation trips backend_equivalence — inject
-            # both so every gate's alarm is exercised.
+            # The assembly perturbation trips plan_vs_direct (the
+            # per-net derivation no longer re-assembles into the
+            # estimate); the backend perturbation trips
+            # backend_equivalence — inject both so each gate's alarm is
+            # exercised.
             stack.enter_context(perturbed_standard_cell(args.inject))
             stack.enter_context(perturbed_backend(args.inject))
         report = run_verify(options)
@@ -1143,10 +1142,20 @@ def _cmd_verify(args) -> None:
             print(f"  {record.spec.label}: {record.check}{shrunk}")
 
     if injected:
-        if report.passed:
+        # Each fault must trip its own gate, when the run selected it.
+        gates = ["plan_vs_direct"]
+        if "numpy" in available_backends():
+            gates.append("backend_equivalence")
+        blind = [
+            name for name in gates
+            if options.wants(check_named(name))
+            and not report.check_counts.get(name, {}).get("failed")
+        ]
+        if report.passed or blind:
             raise VerificationError(
-                f"injected perturbation x{args.inject} was NOT caught — "
-                "the harness is blind"
+                f"injected perturbation x{args.inject} was NOT caught"
+                + (f" by {', '.join(blind)}" if blind else "")
+                + " — the harness is blind"
             )
         print(f"injected perturbation x{args.inject} caught as expected")
         return

@@ -25,8 +25,8 @@ overflows under the independence model.  It is consumed three ways:
 ``mae explain --congestion`` renders the distribution as a heatmap,
 ``mae verify --check congestion_oracle`` gates the demand means
 against routed track usage, and the portfolio floorplan race prices
-``--routability-weight`` into its candidate costs through the plan
-cache (:meth:`repro.perf.plan.EstimationPlan.evaluate_congestion`).
+``--routability-weight`` into its candidate costs through each leaf's
+plan (:meth:`repro.perf.plan.EstimationPlan.evaluate_congestion`).
 
 Backend contract: the probability grid comes from the selected
 backend (:mod:`repro.perf.backends`); everything downstream —
@@ -41,10 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from repro.core.config import EstimatorConfig
+from repro.core.config import EstimatorConfig, scan_for
+from repro.core.standard_cell import choose_initial_rows
 from repro.errors import EstimationError
 from repro.netlist.model import Module
-from repro.netlist.stats import scan_module
 from repro.perf.backends import get_backend, resolve_backend_name
 from repro.perf.kernels import tracks_for_histogram
 from repro.technology.process import ProcessDatabase
@@ -273,31 +273,27 @@ def congestion_report(
     capacity: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> CongestionReport:
-    """Scan ``module`` and build its congestion report.
+    """Scan ``module`` once and build its congestion report.
 
     ``rows = None`` falls back to ``config.rows`` and then to the
-    Section 5 row choice of a full standard-cell estimate, so the
-    report describes the same floorplan the estimator would pick.
-    Capacity resolves through :func:`resolve_channel_capacity`.
+    Section 5 row choice (:func:`choose_initial_rows`), so the report
+    describes the same floorplan the estimator would pick.  Capacity
+    resolves through :func:`resolve_channel_capacity`.
     """
     config = config or EstimatorConfig()
+    stats = scan_for(module, process, config)
     if rows is None:
         rows = config.rows
     if rows is None:
-        from repro.core.standard_cell import estimate_standard_cell
-
-        rows = estimate_standard_cell(module, process, config).rows
+        if stats.device_count == 0:
+            raise EstimationError(
+                f"module {module.name!r}: cannot estimate an empty module"
+            )
+        rows = choose_initial_rows(stats, process, config)
     if rows < 1:
         raise EstimationError(f"rows must be >= 1, got {rows}")
     resolved_capacity, source = resolve_channel_capacity(process, capacity)
     resolved_backend = resolve_backend_name(backend)
-    stats = scan_module(
-        module,
-        device_width=process.device_width,
-        device_height=process.device_height,
-        port_width=config.port_pitch_override or process.port_pitch,
-        power_nets=config.power_nets,
-    )
     distribution = congestion_distribution(
         stats.net_size_histogram,
         rows,

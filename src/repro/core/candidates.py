@@ -23,7 +23,7 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.aspect import fits_ports
-from repro.core.config import EstimatorConfig
+from repro.core.config import EstimatorConfig, scan_for
 from repro.core.full_custom import estimate_full_custom
 from repro.core.results import (
     FullCustomEstimate,
@@ -33,7 +33,6 @@ from repro.core.results import (
 from repro.core.standard_cell import choose_initial_rows
 from repro.errors import EstimationError
 from repro.netlist.model import Module
-from repro.netlist.stats import scan_module
 from repro.technology.process import ProcessDatabase
 
 #: Aspect ratios offered for full-custom candidates (width : height).
@@ -56,13 +55,7 @@ def standard_cell_candidates(
     through the shared plan cache."""
     config = config or EstimatorConfig()
     if stats is None:
-        stats = scan_module(
-            module,
-            device_width=process.device_width,
-            device_height=process.device_height,
-            port_width=config.port_pitch_override or process.port_pitch,
-            power_nets=config.power_nets,
-        )
+        stats = scan_for(module, process, config)
     return standard_cell_candidates_from_stats(stats, process, config, count)
 
 
@@ -88,8 +81,8 @@ def standard_cell_candidates_from_stats(
     from repro.perf.plan import get_plan
 
     # One batched plan evaluation covers the whole spread (the numpy
-    # backend's 2-D row-sweep kernel; bit-identical to the per-row
-    # direct path under exact via the plan_vs_direct invariant).
+    # backend's 2-D row-sweep kernel; a loop of evaluate() under
+    # exact).
     plan = get_plan(stats, process, config)
     return list(plan.evaluate_rows(row_counts))
 
@@ -113,13 +106,7 @@ def full_custom_candidates(
         raise EstimationError("at least one aspect ratio is required")
     config = config or EstimatorConfig()
     if stats is None:
-        stats = scan_module(
-            module,
-            device_width=process.device_width,
-            device_height=process.device_height,
-            port_width=config.port_pitch_override or process.port_pitch,
-            power_nets=config.power_nets,
-        )
+        stats = scan_for(module, process, config)
     base = estimate_full_custom(module, process, config, stats=stats)
     port_length = stats.total_port_width
 
@@ -158,13 +145,7 @@ def candidate_shapes(
     The module is scanned exactly once; both rankings share the scan
     (and the standard-cell side the cached plan)."""
     config = config or EstimatorConfig()
-    stats = scan_module(
-        module,
-        device_width=process.device_width,
-        device_height=process.device_height,
-        port_width=config.port_pitch_override or process.port_pitch,
-        power_nets=config.power_nets,
-    )
+    stats = scan_for(module, process, config)
     shapes: List[Tuple[str, float, float]] = []
     for estimate in standard_cell_candidates(
         module, process, config, count, stats=stats

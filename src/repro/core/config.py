@@ -2,7 +2,8 @@
 
 Every modelling choice the paper leaves implicit — and every deliberate
 deviation documented in DESIGN.md §3 — is a field here, defaulting to
-the paper's published behaviour.
+the paper's published behaviour.  :func:`scan_for` is the schematic
+scan under a config's scan signature: every estimator scans through it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.errors import EstimationError
-from repro.netlist.stats import DEFAULT_POWER_NETS
+from repro.netlist.model import Module
+from repro.netlist.stats import DEFAULT_POWER_NETS, ModuleStatistics, scan_module
+from repro.obs.trace import current_tracer
+from repro.technology.process import ProcessDatabase
 
 #: Net-span modes for the full-custom per-net area (Eq. 13):
 #: "span" matches Table 1's footnote (two-component nets contribute no
@@ -143,3 +147,37 @@ class EstimatorConfig:
     def with_(self, **changes) -> "EstimatorConfig":
         """General copy-with-changes helper."""
         return replace(self, **changes)
+
+
+def scan_for(
+    module: Module,
+    process: ProcessDatabase,
+    config: Optional[EstimatorConfig] = None,
+    stats_version: Optional[int] = None,
+) -> ModuleStatistics:
+    """The schematic scan under ``config``'s scan signature: the
+    process's device geometry, ``port_pitch_override`` (else the
+    process port pitch) and ``power_nets``.
+
+    Every estimator scans through here, so the signature is written
+    once, and a traced scan records one ``scan`` span (``module``,
+    ``devices``, ``nets``) and counts ``scan.modules``.
+    ``stats_version`` stamps the snapshot with a netlist revision.
+    """
+    config = config or EstimatorConfig()
+    tracer = current_tracer()
+    with tracer.span("scan") as span:
+        stats = scan_module(
+            module,
+            device_width=process.device_width,
+            device_height=process.device_height,
+            port_width=config.port_pitch_override or process.port_pitch,
+            power_nets=config.power_nets,
+            stats_version=stats_version,
+        )
+        if tracer.enabled:
+            span.set("module", stats.module_name)
+            span.set("devices", stats.device_count)
+            span.set("nets", stats.net_count)
+            tracer.metrics.incr("scan.modules")
+    return stats

@@ -8,7 +8,10 @@ the output record handed to the floor planner.
 The paper reports per-module CPU time (< 1.5 s full-custom, < 3 s
 standard-cell on a Sun 3/50); each estimate records its wall time so
 the S2 benchmark can reproduce the "modest amount of computer time"
-claim.
+claim.  An estimate scans the module once and hands the statistics to
+every methodology and to the record.  It deliberately keeps no scan
+across calls, so a module's CPU time does not depend on what ran
+before it.
 """
 
 from __future__ import annotations
@@ -17,14 +20,13 @@ import time
 from pathlib import Path
 from typing import Iterable, List, Optional, Union
 
-from repro.core.config import EstimatorConfig
+from repro.core.config import EstimatorConfig, scan_for
 from repro.core.full_custom import estimate_full_custom_both
 from repro.core.results import ModuleEstimate
-from repro.core.standard_cell import estimate_standard_cell
+from repro.core.standard_cell import estimate_standard_cell_from_stats
 from repro.errors import EstimationError
 from repro.netlist.model import Module
 from repro.netlist.spice import parse_spice
-from repro.netlist.stats import scan_module
 from repro.technology.process import ProcessDatabase
 
 
@@ -101,27 +103,20 @@ class ModuleAreaEstimator:
             raise EstimationError("at least one methodology is required")
 
         start = time.perf_counter()
+        stats = scan_for(module, self.process, self.config)
         standard_cell = None
         full_custom = None
         full_custom_average = None
         if "standard-cell" in wanted:
-            standard_cell = estimate_standard_cell(
-                module, self.process, self.config
+            standard_cell = estimate_standard_cell_from_stats(
+                stats, self.process, self.config
             )
         if "full-custom" in wanted:
             full_custom, full_custom_average = estimate_full_custom_both(
-                module, self.process, self.config
+                module, self.process, self.config, stats
             )
         elapsed = time.perf_counter() - start
 
-        stats = scan_module(
-            module,
-            device_width=self.process.device_width,
-            device_height=self.process.device_height,
-            port_width=self.config.port_pitch_override
-            or self.process.port_pitch,
-            power_nets=self.config.power_nets,
-        )
         return ModuleEstimate(
             module_name=module.name,
             statistics=stats,

@@ -33,11 +33,11 @@ import math
 from typing import List, Optional, Tuple
 
 from repro.core.aspect import full_custom_dimensions
-from repro.core.config import EstimatorConfig
+from repro.core.config import EstimatorConfig, scan_for
 from repro.core.results import FullCustomEstimate
 from repro.errors import EstimationError
 from repro.netlist.model import Module, Net
-from repro.netlist.stats import ModuleStatistics, scan_module
+from repro.netlist.stats import ModuleStatistics
 from repro.obs.trace import current_tracer
 from repro.technology.process import ProcessDatabase
 
@@ -58,22 +58,10 @@ def estimate_full_custom(
         raise EstimationError(
             f"module {module.name!r}: cannot estimate an empty module"
         )
-    tracer = current_tracer()
     if stats is None:
-        with tracer.span("scan") as span:
-            stats = scan_module(
-                module,
-                device_width=process.device_width,
-                device_height=process.device_height,
-                port_width=config.port_pitch_override or process.port_pitch,
-                power_nets=config.power_nets,
-            )
-            if tracer.enabled:
-                span.set("module", stats.module_name)
-                span.set("devices", stats.device_count)
-                span.set("nets", stats.net_count)
-                tracer.metrics.incr("scan.modules")
+        stats = scan_for(module, process, config)
 
+    tracer = current_tracer()
     with tracer.span("fc.estimate") as span:
         if config.device_area_mode == "exact":
             device_area = stats.total_device_area
@@ -121,18 +109,22 @@ def estimate_full_custom_both(
     module: Module,
     process: ProcessDatabase,
     config: Optional[EstimatorConfig] = None,
+    stats: Optional[ModuleStatistics] = None,
 ) -> Tuple[FullCustomEstimate, FullCustomEstimate]:
     """Both Table 1 estimate columns: (exact areas, average areas).
 
     "This minimum area estimation is first performed using exact device
-    areas and again performed using the average device area."
+    areas and again performed using the average device area."  Both
+    share one scan (``stats``, or one taken here).
     """
     config = config or EstimatorConfig()
+    if stats is None:
+        stats = scan_for(module, process, config)
     exact = estimate_full_custom(
-        module, process, config.with_(device_area_mode="exact")
+        module, process, config.with_(device_area_mode="exact"), stats
     )
     average = estimate_full_custom(
-        module, process, config.with_(device_area_mode="average")
+        module, process, config.with_(device_area_mode="average"), stats
     )
     return exact, average
 

@@ -34,11 +34,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.config import EstimatorConfig
+from repro.core.config import EstimatorConfig, scan_for
 from repro.core.sharing import estimate_shared_tracks
 from repro.errors import EstimationError
 from repro.netlist.model import Module
-from repro.netlist.stats import ModuleStatistics, scan_module
+from repro.netlist.stats import ModuleStatistics
 from repro.technology.process import DeviceKind, ProcessDatabase
 from repro.units import normalized_aspect
 
@@ -145,13 +145,7 @@ def estimate_gate_array(
             f"module {module.name!r}: cannot estimate an empty module"
         )
 
-    stats = scan_module(
-        module,
-        device_width=process.device_width,
-        device_height=process.device_height,
-        port_width=config.port_pitch_override or process.port_pitch,
-        power_nets=config.power_nets,
-    )
+    stats = scan_for(module, process, config)
     sites = site_equivalents(module, process)
 
     rows = max(1, round(math.sqrt(

@@ -26,20 +26,17 @@ in the config scales the track count for the A1 ablation.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import List, Optional, Tuple
 
-from repro.core.config import EstimatorConfig
-from repro.core.probability import expected_feedthroughs
+from repro.core.config import EstimatorConfig, scan_for
 from repro.obs.trace import current_tracer
-from repro.perf.backends import current_backend
-from repro.perf.kernels import central_feedthrough_probability
 from repro.core.results import StandardCellEstimate
 from repro.errors import EstimationError
 from repro.netlist.model import Module
-from repro.netlist.stats import ModuleStatistics, scan_module
+from repro.netlist.stats import ModuleStatistics
 from repro.technology.process import ProcessDatabase
-from repro.units import round_up
 
 
 def estimate_standard_cell(
@@ -49,21 +46,9 @@ def estimate_standard_cell(
 ) -> StandardCellEstimate:
     """Estimate standard-cell layout area for a module."""
     config = config or EstimatorConfig()
-    tracer = current_tracer()
-    with tracer.span("scan") as span:
-        stats = scan_module(
-            module,
-            device_width=process.device_width,
-            device_height=process.device_height,
-            port_width=config.port_pitch_override or process.port_pitch,
-            power_nets=config.power_nets,
-        )
-        if tracer.enabled:
-            span.set("module", stats.module_name)
-            span.set("devices", stats.device_count)
-            span.set("nets", stats.net_count)
-            tracer.metrics.incr("scan.modules")
-    return estimate_standard_cell_from_stats(stats, process, config)
+    return estimate_standard_cell_from_stats(
+        scan_for(module, process, config), process, config
+    )
 
 
 def estimate_standard_cell_from_stats(
@@ -72,56 +57,26 @@ def estimate_standard_cell_from_stats(
     config: Optional[EstimatorConfig] = None,
 ) -> StandardCellEstimate:
     """Estimate from pre-computed statistics (workload sweeps reuse the
-    scan across row counts)."""
+    scan across row counts).
+
+    Steps 2-5 run in a freshly compiled
+    :class:`~repro.perf.plan.EstimationPlan`, the one Eq. 12 assembly
+    every standard-cell estimate takes."""
     config = config or EstimatorConfig()
-    if stats.device_count == 0:
-        raise EstimationError(
-            f"module {stats.module_name!r}: cannot estimate an empty module"
-        )
-
-    tracer = current_tracer()
-    with tracer.span("sc.estimate") as span:
-        rows = config.rows if config.rows is not None else choose_initial_rows(
-            stats, process, config
-        )
-        if rows < 1:
-            raise EstimationError(f"row count must be >= 1, got {rows}")
-
-        tracks, per_size = _expected_tracks(stats, rows, config)
-        feedthroughs = _expected_feedthroughs(stats, rows, config)
-
-        cell_width_per_row = stats.average_width * stats.device_count / rows
-        feedthrough_width = feedthroughs * process.feedthrough_width
-        width = cell_width_per_row + feedthrough_width
-        height = rows * process.row_height + tracks * process.track_pitch
-        area = width * height
-        cell_area = stats.total_device_area
-
-        if tracer.enabled:
-            span.set("module", stats.module_name)
-            span.set("rows", rows)
-            span.set("tracks", tracks)
-            span.set("feedthroughs", feedthroughs)
-            metrics = tracer.metrics
-            metrics.incr("sc.estimates")
-            metrics.incr("sc.nets_routed", stats.routed_net_count)
-            metrics.incr("sc.tracks_total", tracks)
-            metrics.incr("sc.feedthroughs_total", feedthroughs)
-
-    return StandardCellEstimate(
-        module_name=stats.module_name,
-        rows=rows,
-        cell_width_per_row=cell_width_per_row,
-        feedthroughs=feedthroughs,
-        feedthrough_width=feedthrough_width,
-        tracks=tracks,
-        tracks_by_net_size=tuple(per_size),
-        width=width,
-        height=height,
-        cell_area=cell_area,
-        wiring_area=max(0.0, area - cell_area),
-        area=area,
+    return _plans().compile_plan(stats, process, config).evaluate(
+        config.rows
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _plans():
+    """:mod:`repro.perf.plan`, imported on first use because it imports
+    :func:`choose_initial_rows` from this module.  Cached: an import
+    statement costs about a microsecond per call, a tenth of a one-shot
+    estimate."""
+    from repro.perf import plan
+
+    return plan
 
 
 def sweep_rows(
@@ -200,85 +155,3 @@ def choose_initial_rows(
                     f"module {stats.module_name!r}: row selection did not "
                     "converge"
                 )
-
-
-# ----------------------------------------------------------------------
-# internals
-# ----------------------------------------------------------------------
-def _expected_tracks(
-    stats: ModuleStatistics,
-    rows: int,
-    config: EstimatorConfig,
-) -> Tuple[int, List[Tuple[int, int]]]:
-    tracer = current_tracer()
-    with tracer.span("sc.tracks") as span:
-        histogram = stats.multi_component_nets
-        # One backend call covers the whole histogram (under ``exact``,
-        # a cache hit returns every net size's Eq. 3 demand in a single
-        # lookup; under ``numpy``, one vectorized array pass).
-        per_net = current_backend().tracks_for_histogram(
-            histogram, rows, config.row_spread_mode
-        )
-        per_size: List[Tuple[int, int]] = []
-        total = 0
-        for (components, count), tracks in zip(histogram, per_net):
-            per_size.append((components, tracks))
-            total += tracks * count
-        if config.track_model == "shared":
-            # Section 7 future work: the analytic expected-density model.
-            from repro.core.sharing import estimate_shared_tracks
-
-            shared = estimate_shared_tracks(
-                stats.multi_component_nets,
-                rows,
-                config.congestion_margin,
-                config.row_spread_mode,
-            ).total_tracks
-            # The upper bound stays an upper bound.
-            shared = min(shared, total)
-        else:
-            shared = math.ceil(total * config.track_sharing_factor)
-        if tracer.enabled:
-            span.set("raw_tracks", total)
-            span.set("tracks", shared)
-            tracer.metrics.incr(
-                "sc.track_nets", stats.routed_net_count
-            )
-    return shared, per_size
-
-
-def _expected_feedthroughs(
-    stats: ModuleStatistics,
-    rows: int,
-    config: EstimatorConfig,
-) -> int:
-    tracer = current_tracer()
-    with tracer.span("sc.feedthroughs") as span:
-        if rows < 3:
-            # No interior row exists; nothing can straddle a row.  The
-            # span still reports its payload so traced 1- and 2-row
-            # estimates are not empty.
-            if tracer.enabled:
-                span.set("mean", 0.0)
-                span.set("feedthroughs", 0)
-            return 0
-        if config.feedthrough_model == "two-component":
-            probability = central_feedthrough_probability(rows)
-            count = expected_feedthroughs(
-                stats.routed_net_count, probability
-            )
-            if tracer.enabled:
-                span.set("mean", stats.routed_net_count * probability)
-                span.set("feedthroughs", count)
-            return count
-        # General model: per net size D, Eq. 8 at the central row, the
-        # whole histogram in one backend call.
-        mean = current_backend().feedthrough_mean_for_histogram(
-            stats.multi_component_nets, rows, "general"
-        )
-        count = round_up(mean)
-        if tracer.enabled:
-            span.set("mean", mean)
-            span.set("feedthroughs", count)
-            tracer.metrics.incr("feedthrough.mean_sum", mean)
-        return count

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core.config import EstimatorConfig
+from repro.core.config import EstimatorConfig, scan_for
 from repro.layout.annealing import timberwolf_1988_schedule
 from repro.layout.standard_cell_flow import layout_standard_cell
-from repro.netlist.stats import scan_module
 from repro.perf.plan import get_plan
 from repro.reporting import format_percent, render_table
 from repro.technology.libraries import nmos_process
@@ -75,13 +74,7 @@ def run_scaling_experiment(
         )
         # Scan once; both the upper-bound and shared-model estimates
         # come from compiled plans over the same statistics.
-        stats = scan_module(
-            module,
-            device_width=process.device_width,
-            device_height=process.device_height,
-            port_width=process.port_pitch,
-            power_nets=EstimatorConfig().power_nets,
-        )
+        stats = scan_for(module, process)
         upper = get_plan(stats, process, EstimatorConfig()).evaluate()
         rows = upper.rows
         shared = get_plan(

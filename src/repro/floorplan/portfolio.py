@@ -28,9 +28,11 @@ the reuse follows the module: a leaf unedited since the last race keeps
 its scan, its plan's memoized estimates and the prices the plan keeps,
 so a warm race prices nothing again and redoes only its search.  The
 ``serial`` engine is the before-picture: every query is a fresh
-:func:`~repro.core.standard_cell.estimate_standard_cell` rescan.
-Both engines produce **bit-identical trajectories** (the plan-vs-direct
-and backend-equivalence invariants), which is itself a verify gate.
+:func:`~repro.core.standard_cell.estimate_standard_cell` rescan and
+plan compilation.  Both engines produce **bit-identical trajectories**
+(they share the one Eq. 12 assembly of
+:class:`~repro.perf.plan.EstimationPlan`), which is itself a verify
+gate.
 
 Determinism and resume are structural, not incidental: every move of a
 randomized searcher draws from
@@ -58,11 +60,10 @@ from repro.congestion.model import (
     resolve_channel_capacity,
 )
 from repro.core.candidates import _spread_around
-from repro.core.config import EstimatorConfig
+from repro.core.config import EstimatorConfig, scan_for
 from repro.core.results import StandardCellEstimate
 from repro.core.standard_cell import estimate_standard_cell
 from repro.errors import CheckpointError, FloorplanError, VerificationError
-from repro.netlist import scan_module
 from repro.obs import current_tracer
 from repro.perf.batch import estimate_batch
 from repro.perf.plan import EstimationPlan, compile_plan, plan_cache_stats
@@ -224,14 +225,7 @@ class SerialEstimateServer:
         if cached is not None:
             return cached
         estimator = self._config.estimator
-        stats = scan_module(
-            self._modules[name],
-            device_width=self._process.device_width,
-            device_height=self._process.device_height,
-            port_width=estimator.port_pitch_override
-            or self._process.port_pitch,
-            power_nets=estimator.power_nets,
-        )
+        stats = scan_for(self._modules[name], self._process, estimator)
         value = congestion_distribution(
             stats.multi_component_nets,
             rows,
@@ -354,11 +348,12 @@ class CompiledEstimateServer:
         """P(no channel overflows) for ``name`` at ``rows``.
 
         Served through the module's prefill plan
-        (:meth:`~repro.perf.plan.EstimationPlan.evaluate_congestion`,
-        memoized per plan), so the race prices congestion from the same
-        histogram as the area estimates; bit-identical to the serial
-        server because the plan's histogram equals a fresh rescan's and
-        the downstream arithmetic is shared.
+        (:meth:`~repro.perf.plan.EstimationPlan.evaluate_congestion`),
+        so the race prices congestion from the same histogram as the
+        area estimates; bit-identical to the serial server because the
+        plan's histogram equals a fresh rescan's and the downstream
+        arithmetic is shared.  The race asks once per priced pair
+        (:meth:`price`).
         """
         return self._plans[name].evaluate_congestion(
             rows, self._capacity
@@ -380,14 +375,7 @@ class CompiledEstimateServer:
         sample = rng.sample(keys, min(config.spot_checks, len(keys)))
         estimator = config.estimator
         for name, rows in sample:
-            stats = scan_module(
-                self._modules[name],
-                device_width=process.device_width,
-                device_height=process.device_height,
-                port_width=estimator.port_pitch_override
-                or process.port_pitch,
-                power_nets=estimator.power_nets,
-            )
+            stats = scan_for(self._modules[name], process, estimator)
             exact = compile_plan(
                 stats, process, estimator.with_rows(rows), backend="exact"
             ).evaluate(rows)

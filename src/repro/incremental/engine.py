@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.config import EstimatorConfig
+from repro.core.config import EstimatorConfig, scan_for
 from repro.core.results import StandardCellEstimate
 from repro.errors import NetlistError
 from repro.incremental.mutations import (
@@ -59,7 +59,6 @@ from repro.netlist.stats import (
     build_statistics,
     effective_port_width,
     resolve_dimensions,
-    scan_module,
 )
 from repro.obs.trace import current_tracer
 from repro.perf.plan import EstimationPlan, get_plan
@@ -74,9 +73,8 @@ class IncrementalEstimator:
     Parameters
     ----------
     module:
-        The netlist to track.  Copied by default so the caller's module
-        stays untouched; pass ``copy_module=False`` to adopt (and
-        mutate) the instance directly.
+        The netlist to track.  The engine edits a copy, so the caller's
+        module stays untouched.
     process, config:
         Exactly the arguments of
         :func:`repro.core.standard_cell.estimate_standard_cell`; the
@@ -88,7 +86,6 @@ class IncrementalEstimator:
         module: Module,
         process: ProcessDatabase,
         config: Optional[EstimatorConfig] = None,
-        copy_module: bool = True,
         backend: Optional[str] = None,
     ):
         self.process = process
@@ -96,7 +93,7 @@ class IncrementalEstimator:
         #: Kernel backend name for every estimate served by this engine
         #: (``None``: resolve against the process default per call).
         self.backend = backend
-        self._module = module.copy() if copy_module else module
+        self._module = module.copy()
         self._power = frozenset(p.lower() for p in self.config.power_nets)
         self._port_pitch = (
             self.config.port_pitch_override or process.port_pitch
@@ -141,12 +138,8 @@ class IncrementalEstimator:
     def rescan(self) -> ModuleStatistics:
         """A from-scratch scan of the tracked module, stamped with the
         current revision — the oracle :meth:`statistics` must equal."""
-        return scan_module(
-            self._module,
-            device_width=self._device_width,
-            device_height=self._device_height,
-            port_width=self._port_pitch,
-            power_nets=self.config.power_nets,
+        return scan_for(
+            self._module, self.process, self.config,
             stats_version=self._version,
         )
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
-from repro.core.config import EstimatorConfig
+from repro.core.config import EstimatorConfig, scan_for
 from repro.core.full_custom import (
     estimate_full_custom,
     net_interconnection_area,
@@ -49,7 +49,7 @@ from repro.core.results import FullCustomEstimate, StandardCellEstimate
 from repro.core.standard_cell import estimate_standard_cell_from_stats
 from repro.errors import EstimationError, ObservabilityError
 from repro.netlist.model import Module
-from repro.netlist.stats import ModuleStatistics, scan_module
+from repro.netlist.stats import ModuleStatistics
 from repro.reporting import render_table
 from repro.technology.process import ProcessDatabase
 from repro.units import round_up
@@ -189,13 +189,7 @@ def explain_standard_cell(
 ) -> StandardCellExplanation:
     """Recompute the standard-cell estimate with per-net attribution."""
     config = config or EstimatorConfig()
-    stats = scan_module(
-        module,
-        device_width=process.device_width,
-        device_height=process.device_height,
-        port_width=config.port_pitch_override or process.port_pitch,
-        power_nets=config.power_nets,
-    )
+    stats = scan_for(module, process, config)
     estimate = estimate_standard_cell_from_stats(stats, process, config)
     rows = estimate.rows
 
@@ -292,13 +286,7 @@ def explain_full_custom(
 ) -> FullCustomExplanation:
     """Recompute the full-custom estimate with per-net attribution."""
     config = config or EstimatorConfig()
-    stats = scan_module(
-        module,
-        device_width=process.device_width,
-        device_height=process.device_height,
-        port_width=config.port_pitch_override or process.port_pitch,
-        power_nets=config.power_nets,
-    )
+    stats = scan_for(module, process, config)
     estimate = estimate_full_custom(module, process, config, stats=stats)
 
     net_areas = []

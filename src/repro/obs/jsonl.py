@@ -10,7 +10,7 @@ record kinds in a fixed order:
 
 2. ``N`` ``span`` lines, in start order (parents precede children)::
 
-       {"kind": "span", "name": "sc.estimate", "id": 3, "parent": 2,
+       {"kind": "span", "name": "plan.evaluate", "id": 3, "parent": 2,
         "depth": 1, "start_s": 0.0012, "duration_s": 0.0003,
         "payload": {"rows": 4, "tracks": 120}}
 

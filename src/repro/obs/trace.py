@@ -2,7 +2,7 @@
 
 A :class:`Tracer` records **spans** — named, nested wall-time intervals
 with small counter payloads — emitted by hooks inside the estimators
-(schematic scan, track expectation, feed-through expectation, aspect
+(schematic scan, standard-cell plan evaluation, row choice, aspect
 fitting, batch execution).  The design constraints, in order:
 
 1. **Zero cost when off.**  Estimation is a hot path (tens of
@@ -29,11 +29,11 @@ Usage::
 Instrumentation sites follow one pattern::
 
     tracer = current_tracer()
-    with tracer.span("sc.tracks") as span:
+    with tracer.span("plan.evaluate") as span:
         ...
         if tracer.enabled:
-            span.set("tracks", total)
-            tracer.metrics.incr("sc.tracks_total", total)
+            span.set("tracks", tracks)
+            tracer.metrics.incr("sc.tracks_total", tracks)
 
 The ``enabled`` guard keeps payload formatting and counter updates off
 the untraced path entirely.

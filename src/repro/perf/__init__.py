@@ -15,8 +15,8 @@ estimators' *math* untouched while removing the repeated work:
   observability.
 * :mod:`repro.perf.plan` — ``EstimationPlan``: the standard-cell
   estimator compiled once per module (frozen histogram arrays,
-  pre-resolved process constants) and re-evaluated per row count,
-  bit-identical to the direct path.
+  pre-resolved process constants) and re-evaluated per row count; the
+  one Eq. 12 assembly, which the one-shot estimator compiles per call.
 * :mod:`repro.perf.batch` — ``estimate_batch``: scan each module once
   and evaluate every (module x config x methodology) estimation task
   in this process, bit-identical to the per-call estimators.
@@ -27,8 +27,8 @@ estimators' *math* untouched while removing the repeated work:
   ``$MAE_BACKEND`` and threaded through plans, batches, and the
   incremental engine.
 * :mod:`repro.perf.bench` — the perf-trajectory harness that times the
-  Table 1/2 suites, a large synthetic sweep, the plan-vs-direct paths,
-  and the exact-vs-numpy backend phases, and writes
+  Table 1/2 suites, a large synthetic sweep, a plan per call vs one
+  plan per module, and the exact-vs-numpy backend phases, and writes
   ``BENCH_batch_engine.json`` so every future PR's speedups (or
   regressions) land in a machine-readable trajectory.
 """

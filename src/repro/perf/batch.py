@@ -37,12 +37,12 @@ from typing import (
     Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union,
 )
 
-from repro.core.config import EstimatorConfig
+from repro.core.config import EstimatorConfig, scan_for
 from repro.core.full_custom import estimate_full_custom
 from repro.core.results import FullCustomEstimate, StandardCellEstimate
 from repro.errors import EstimationError
 from repro.netlist.model import Module
-from repro.netlist.stats import ModuleStatistics, scan_module
+from repro.netlist.stats import ModuleStatistics
 from repro.obs.trace import current_tracer
 from repro.perf.backends import resolve_backend_name
 from repro.perf.plan import (
@@ -196,11 +196,7 @@ def _run_group(
     def stats_for(config: EstimatorConfig) -> ModuleStatistics:
         key = (config.port_pitch_override, config.power_nets)
         if key not in scans:
-            scans[key] = _scan(
-                module, process,
-                config.port_pitch_override or process.port_pitch,
-                config.power_nets,
-            )
+            scans[key] = _scan(module, process, config)
         return scans[key]
 
     estimates: List[Tuple[Estimate, Optional[EstimationPlan]]] = []
@@ -247,13 +243,14 @@ def _run_group(
 def _scan(
     module: Module,
     process: ProcessDatabase,
-    port_width: float,
-    power_nets: Tuple[str, ...],
+    config: EstimatorConfig,
 ) -> ModuleStatistics:
-    """:func:`scan_module` for one scan signature, reusing an earlier
-    call's statistics while the module is unedited."""
-    tracer = current_tracer()
-    generation = reuse_generation(tracer)
+    """:func:`~repro.core.config.scan_for` under ``config``'s scan
+    signature, reusing an earlier call's statistics while the module
+    is unedited."""
+    port_width = config.port_pitch_override or process.port_pitch
+    power_nets = config.power_nets
+    generation = reuse_generation(current_tracer())
     if generation is not None:
         held = _SCANS.get(module)
         if (
@@ -267,17 +264,7 @@ def _scan(
         ):
             note_scan_reuse()
             return held.stats
-    with tracer.span("scan") as span:
-        stats = scan_module(
-            module,
-            device_width=process.device_width,
-            device_height=process.device_height,
-            port_width=port_width,
-            power_nets=power_nets,
-        )
-        if tracer.enabled:
-            span.set("module", module.name)
-            tracer.metrics.incr("scan.modules")
+    stats = scan_for(module, process, config)
     if generation is not None:
         _SCANS[module] = _HeldScan(
             generation, module.revision, process, port_width, power_nets,

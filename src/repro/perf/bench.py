@@ -58,7 +58,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.core.config import EstimatorConfig
+from repro.core.config import EstimatorConfig, scan_for
 from repro.core.full_custom import estimate_full_custom_both
 from repro.core.standard_cell import (
     estimate_standard_cell,
@@ -66,7 +66,6 @@ from repro.core.standard_cell import (
 )
 from repro.errors import BenchmarkError
 from repro.netlist.model import Module
-from repro.netlist.stats import scan_module
 from repro.obs.metrics import get_registry
 from repro.perf.batch import estimate_batch
 from repro.perf.kernels import (
@@ -311,16 +310,7 @@ def run_bench(
     # Scanned once, outside every timed phase: the plan and backend
     # phases below start from statistics, and the mode-collapse audit
     # walks the same histogram population.
-    sweep_stats = [
-        scan_module(
-            module,
-            device_width=process.device_width,
-            device_height=process.device_height,
-            port_width=process.port_pitch,
-            power_nets=default_config.power_nets,
-        )
-        for module in sweep
-    ]
+    sweep_stats = [scan_for(module, process) for module in sweep]
 
     def sweep_seed():
         # The original path: one estimator call per (module, rows),
@@ -372,11 +362,11 @@ def run_bench(
     cache_snapshot = get_registry().snapshot()["kernels"]
     equivalence["synthetic_jobs1"] = seed_estimates == batch1_estimates
 
-    # ---- plan path vs the PR 1 direct path ---------------------------
+    # ---- one plan per module vs a plan per call ----------------------
     # Both phases reuse the one-time scan and start from cleared caches,
-    # so the comparison isolates exactly what plan compilation buys:
-    # frozen histogram arrays and whole-histogram kernel calls versus
-    # the per-call histogram walk of estimate_standard_cell_from_stats.
+    # so the comparison isolates exactly what keeping a plan buys:
+    # estimate_standard_cell_from_stats compiles a fresh plan on every
+    # call.
     def sweep_direct():
         return [
             estimate_standard_cell_from_stats(stats, process, config)
@@ -430,15 +420,8 @@ def run_bench(
         estimates = []
         for mutation in eco_edits:
             mutation.apply(live)
-            stats = scan_module(
-                live,
-                device_width=process.device_width,
-                device_height=process.device_height,
-                port_width=process.port_pitch,
-                power_nets=default_config.power_nets,
-            )
             estimates.append(estimate_standard_cell_from_stats(
-                stats, process, default_config
+                scan_for(live, process), process, default_config
             ))
         return estimates
 

@@ -1,26 +1,21 @@
-"""Compiled estimation plans.
+"""Compiled estimation plans: the one Eq. 12 assembly.
 
-In the floor-planning regime the same module is re-estimated at many
-row counts on every iteration.  :func:`estimate_standard_cell_from_stats`
-pays per call for work that depends only on the module and the process:
-re-reading the ``multi_component_nets`` histogram property (which
-rebuilds its tuple on every access), re-resolving process constants,
-and walking a Python loop over the histogram per kernel family.
+Every standard-cell estimate is evaluated by an :class:`EstimationPlan`:
+:func:`~repro.core.standard_cell.estimate_standard_cell_from_stats`
+compiles a fresh one per call, and the callers that re-estimate a
+module at many row counts (the floorplan race, served sessions,
+:func:`~repro.perf.batch.estimate_batch`) keep one.
 
-An :class:`EstimationPlan` is compiled **once** per (module statistics,
-process, config-sans-rows) triple: the (D, y_D) histogram is frozen
-into dense parallel tuples, the Eq. 12 process constants are
-pre-resolved, and :meth:`EstimationPlan.evaluate` produces a
+A plan is compiled **once** per (module statistics, process,
+config-sans-rows) triple: the (D, y_D) histogram is frozen into dense
+parallel tuples, the Eq. 12 process constants are pre-resolved, and
+:meth:`EstimationPlan.evaluate` produces a
 :class:`~repro.core.results.StandardCellEstimate` for any row count via
 the whole-histogram kernels of :mod:`repro.perf.kernels` — one kernel
-call for all track demands, one for the feed-through mean.
-
-The guarantee is the same as the kernel layer's: **bit-identical
-results**.  ``evaluate(rows)`` performs the same arithmetic, in the
-same order, as ``estimate_standard_cell_from_stats(stats, process,
-config.with_rows(rows))``; a Hypothesis property test asserts
-field-for-field equality over random histograms, row counts, and both
-row-spread/feed-through models.
+call for all track demands, one for the feed-through mean.  The
+``plan_vs_direct`` check of ``mae verify`` and a Hypothesis property
+test hold the assembly to the per-net Eq. 2-11 derivation of
+:func:`repro.obs.explain.explain_standard_cell`.
 
 Plans are cached process-wide (:func:`get_plan`).  Compilation
 statistics live in :func:`plan_cache_stats` (cache-stats space, like
@@ -63,20 +58,18 @@ class EstimationPlan:
     """One module's standard-cell estimator, compiled for re-evaluation.
 
     Construct via :func:`compile_plan` (validates) or :func:`get_plan`
-    (process-wide cache).  ``evaluate(rows)`` is bit-identical to the
-    direct path at ``config.with_rows(rows)``; ``evaluate(None)`` runs
-    the Section 5 initial-row algorithm exactly like the direct path.
-    Repeated row counts are served from the plan's memo, except while
-    the tracer collects: a traced call always evaluates, so traced
-    row-iteration counters stay workload-derived.
+    (process-wide cache).  ``evaluate(rows)`` is the Eq. 12 estimate
+    at ``rows``; ``evaluate(None)`` runs the Section 5 initial-row
+    algorithm first.  Repeated row counts are served from the plan's
+    memo, except while the tracer collects: a traced call always
+    evaluates, so traced row-iteration counters stay workload-derived.
     """
 
     __slots__ = (
         "stats", "process", "config", "histogram", "net_sizes",
         "net_counts", "routed_net_count", "device_count", "average_width",
         "cell_area", "row_height", "track_pitch", "feedthrough_unit_width",
-        "backend_name", "_congestion_memo", "_estimates", "_prices",
-        "_generation",
+        "backend_name", "_estimates", "_prices", "_generation",
     )
 
     def __init__(
@@ -92,29 +85,25 @@ class EstimationPlan:
         #: compile time — ``None`` means the process default) and look
         #: the instance up per evaluation.
         self.backend_name = resolve_backend_name(backend)
-        #: Row count is an evaluate()-time argument, never plan state.
-        self.config = config.with_rows(None)
+        #: The config compiled from.  Its row count is ignored: rows
+        #: are an evaluate()-time argument, never plan state.
+        self.config = config
         #: The (D, y_D) histogram, frozen once (the property rebuilds
-        #: its tuple per access on the direct path).
+        #: its tuple per access).
         self.histogram: Tuple[Tuple[int, int], ...] = (
             stats.multi_component_nets
         )
-        self.net_sizes: Tuple[int, ...] = tuple(
-            d for d, _ in self.histogram
+        #: Its D and y_D columns as parallel tuples.
+        self.net_sizes, self.net_counts = (
+            tuple(zip(*self.histogram)) if self.histogram else ((), ())
         )
-        self.net_counts: Tuple[int, ...] = tuple(
-            y for _, y in self.histogram
-        )
-        self.routed_net_count = stats.routed_net_count
+        self.routed_net_count = sum(self.net_counts)
         self.device_count = stats.device_count
         self.average_width = stats.average_width
         self.cell_area = stats.total_device_area
         self.row_height = process.row_height
         self.track_pitch = process.track_pitch
         self.feedthrough_unit_width = process.feedthrough_width
-        #: (rows, capacity) -> CongestionDistribution, filled lazily by
-        #: :meth:`evaluate_congestion`.
-        self._congestion_memo: Dict[Tuple[int, int], object] = {}
         #: requested rows -> estimate, valid for one reuse generation.
         self._estimates: Dict[Optional[int], StandardCellEstimate] = {}
         #: (rows, capacity, weight) -> the floorplan race's price, valid
@@ -253,23 +242,17 @@ class EstimationPlan:
         return tuple(memo[rows] for rows in row_counts)
 
     def evaluate_congestion(self, rows: int, capacity: Optional[int] = None):
-        """The per-channel congestion distribution at ``rows``, memoized.
+        """The per-channel congestion distribution at ``rows``.
 
         ``capacity = None`` resolves through the plan's process
         (:func:`repro.congestion.model.resolve_channel_capacity`), so a
         plan prices routability against the same routing budget every
-        other consumer of the process sees.  Results are memoized per
-        ``(rows, capacity)`` — the floorplan race revisits the same row
-        counts constantly — and the arithmetic runs on the plan's own
-        backend, so serial and compiled portfolio servers stay
-        bit-identical.
+        other consumer of the process sees.  The arithmetic runs on the
+        plan's own backend, so serial and compiled portfolio servers
+        stay bit-identical.  Nothing is kept: the floorplan race prices
+        each pair once and keeps the price
+        (:meth:`memoize_price`), under the one reuse rule.
         """
-        # Memo keys hold validated rows and resolved capacities, so a
-        # caller passing an already-resolved capacity (the race) hits
-        # without resolving or importing anything.
-        distribution = self._congestion_memo.get((rows, capacity))
-        if distribution is not None:
-            return distribution
         from repro.congestion.model import (
             congestion_distribution,
             resolve_channel_capacity,
@@ -278,18 +261,13 @@ class EstimationPlan:
         if rows is None or rows < 1:
             raise EstimationError(f"row count must be >= 1, got {rows}")
         resolved, _ = resolve_channel_capacity(self.process, capacity)
-        key = (rows, resolved)
-        distribution = self._congestion_memo.get(key)
-        if distribution is None:
-            distribution = congestion_distribution(
-                self.histogram,
-                rows,
-                resolved,
-                mode=self.config.row_spread_mode,
-                backend=self.backend_name,
-            )
-            self._congestion_memo[key] = distribution
-        return distribution
+        return congestion_distribution(
+            self.histogram,
+            rows,
+            resolved,
+            mode=self.config.row_spread_mode,
+            backend=self.backend_name,
+        )
 
     def _assemble(
         self,
@@ -389,8 +367,8 @@ def compile_plan(
     config: Optional[EstimatorConfig] = None,
     backend: Optional[str] = None,
 ) -> EstimationPlan:
-    """Compile a fresh plan (no cache), validating the inputs exactly
-    like the direct estimator."""
+    """Compile a fresh plan (no cache); an empty module is rejected
+    with :class:`~repro.errors.EstimationError`."""
     config = config or EstimatorConfig()
     if stats.device_count == 0:
         raise EstimationError(

@@ -38,13 +38,12 @@ import urllib.error
 import urllib.request
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import EstimatorConfig
+from repro.core.config import EstimatorConfig, scan_for
 from repro.core.standard_cell import estimate_standard_cell_from_stats
 from repro.errors import ServiceError
 from repro.incremental.editgen import random_mutation
 from repro.incremental.mutations import mutations_to_jsonable
 from repro.netlist.model import Module
-from repro.netlist.stats import scan_module
 from repro.netlist.writers import write_verilog
 from repro.obs.metrics import latency_percentiles
 from repro.service.engine import EstimationEngine, ServiceConfig
@@ -212,15 +211,7 @@ class _Worker:
             )
 
     def _scan(self, mirror: Module):
-        process = _PROCESSES[self.tech]
-        return scan_module(
-            mirror,
-            device_width=process.device_width,
-            device_height=process.device_height,
-            port_width=(self.config.port_pitch_override
-                        or process.port_pitch),
-            power_nets=self.config.power_nets,
-        )
+        return scan_for(mirror, _PROCESSES[self.tech], self.config)
 
     def _timed(self, method: str, path: str, payload) -> Tuple[int, dict]:
         start = time.perf_counter()

@@ -319,15 +319,27 @@ def _make_handler(server: MAEServer):
 
         # --------------------------------------------------------------
         def _route(self, method: str) -> None:
+            """Handle one request: the reply is recorded in ``/metrics``
+            and its in-flight slot released before it is written, so a
+            client that has the reply finds it counted."""
             start = time.perf_counter()
-            endpoint = "unmatched"
-            status = 500
             self._body = None  # not read yet: a reply now must close
-            if not server._inflight.acquire(blocking=False):
-                self._reply(429, {"error": "server is at its in-flight "
-                                           "request limit; retry"})
-                server.observe("inflight-limit", 0.0, 429)
-                return
+            if server._inflight.acquire(blocking=False):
+                try:
+                    endpoint, status, data = self._handle(method)
+                finally:
+                    server._inflight.release()
+            else:
+                endpoint, status, data = "inflight-limit", 429, _encode({
+                    "error": "server is at its in-flight request limit; "
+                             "retry"
+                })
+            server.observe(endpoint, time.perf_counter() - start, status)
+            self._reply(status, data)
+
+        def _handle(self, method: str) -> Tuple[str, int, bytes]:
+            """(endpoint, status, encoded reply) for one request."""
+            endpoint = "unmatched"
             try:
                 # Resolve the route before running its handler so error
                 # responses are attributed to the endpoint they hit, not
@@ -339,20 +351,15 @@ def _make_handler(server: MAEServer):
                     endpoint, status, thunk = self._dispatch(method)
                 finally:
                     self._body = self._read_body()
-                self._reply(status, thunk())
+                return endpoint, status, _encode(thunk())
             except _HTTPFail as exc:
-                status = exc.status
-                self._reply(exc.status, {"error": exc.message})
+                return endpoint, exc.status, _encode({"error": exc.message})
             except ReproError as exc:
                 status, payload = _map_error(exc)
-                self._reply(status, payload)
+                return endpoint, status, _encode(payload)
             except Exception as exc:  # never kill the handler thread
-                status = 500
-                self._reply(500, {"error": f"internal error: {exc}"})
-            finally:
-                server._inflight.release()
-                server.observe(
-                    endpoint, time.perf_counter() - start, status
+                return endpoint, 500, _encode(
+                    {"error": f"internal error: {exc}"}
                 )
 
         def _dispatch(self, method: str) -> Tuple[str, int, object]:
@@ -602,13 +609,12 @@ def _make_handler(server: MAEServer):
                 raise _HTTPFail(400, "request body must be a JSON object")
             return body
 
-        def _reply(self, status: int, payload: dict) -> None:
-            """Send the status line, headers and body in one write.
+        def _reply(self, status: int, data: bytes) -> None:
+            """Send the status line, headers and JSON body in one write.
 
             A reply sent before the whole body was read closes the
             connection: the unread bytes would otherwise be parsed as
             the next request."""
-            data = json.dumps(payload).encode("utf-8")
             close = self._body is None
             if close:
                 self.close_connection = True
@@ -628,6 +634,11 @@ def _make_handler(server: MAEServer):
                 pass  # client went away; nothing to salvage
 
     return Handler
+
+
+def _encode(payload: dict) -> bytes:
+    """A reply body: the payload as UTF-8 JSON."""
+    return json.dumps(payload).encode("utf-8")
 
 
 def _timeout(body: dict) -> Optional[float]:

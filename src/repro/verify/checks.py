@@ -11,8 +11,10 @@ Two kinds of checks:
 
 * **Equivalence invariants** compare two computations that must agree
   *bit for bit* (exact ``==`` on every result field, floats included):
-  plan vs direct, caches on vs :func:`caches_disabled`, trace-on vs
-  trace-off, incremental vs rescan, numpy vs exact, served vs direct.
+  cached plan vs fresh plan (after the per-net Eq. 2-11 derivation
+  re-assembled the fresh one), caches on vs :func:`caches_disabled`,
+  trace-on vs trace-off, incremental vs rescan, numpy vs exact, served
+  vs direct.
 * **Metamorphic properties** relate outputs across *related inputs*
   where no oracle exists: area is monotone in device count, the row
   sweep is not wildly non-convex, the shared track model never exceeds
@@ -43,18 +45,18 @@ import tempfile
 import zlib
 from typing import Any, Callable, Mapping, Optional, Tuple
 
-from repro.core.config import EstimatorConfig
+from repro.core.config import EstimatorConfig, scan_for
 from repro.core.full_custom import estimate_full_custom
 from repro.core.standard_cell import (
     estimate_standard_cell,
     estimate_standard_cell_from_stats,
 )
-from repro.errors import FrontendError, VerificationError
+from repro.errors import FrontendError, ObservabilityError, VerificationError
 from repro.incremental.editgen import random_mutation
 from repro.incremental.engine import IncrementalEstimator
 from repro.layout.annealing import AnnealingSchedule
 from repro.netlist.model import Module
-from repro.netlist.stats import scan_module
+from repro.obs.explain import explain_standard_cell
 from repro.obs.trace import Tracer, use_tracer
 from repro.perf.kernels import caches_disabled
 from repro.perf.plan import get_plan
@@ -114,17 +116,6 @@ def _estimate(module: Module, process: ProcessDatabase,
     return estimate_full_custom(module, process, config)
 
 
-def _scan(module: Module, process: ProcessDatabase,
-          config: EstimatorConfig):
-    return scan_module(
-        module,
-        device_width=process.device_width,
-        device_height=process.device_height,
-        port_width=config.port_pitch_override or process.port_pitch,
-        power_nets=config.power_nets,
-    )
-
-
 # ----------------------------------------------------------------------
 # equivalence invariants
 # ----------------------------------------------------------------------
@@ -133,17 +124,33 @@ def check_plan_vs_direct(
     process: ProcessDatabase,
     config: Optional[EstimatorConfig] = None,
 ) -> CheckResult:
-    """A compiled :class:`~repro.perf.plan.EstimationPlan` evaluates
-    bit-identically to the direct estimator facade."""
+    """The one Eq. 12 assembly against an independent oracle.
+
+    :func:`~repro.obs.explain.explain_standard_cell` derives the
+    tracks, feed-throughs and Eq. 12 area net by net and refuses
+    (:class:`~repro.errors.ObservabilityError`) when they do not
+    re-assemble into the estimate a freshly compiled plan produced;
+    the cached :func:`~repro.perf.plan.get_plan` plan must then serve
+    that estimate field for field.
+    """
+    name = "plan_vs_direct"
     config = config or EstimatorConfig()
-    direct = estimate_standard_cell(module, process, config)
-    stats = _scan(module, process, config)
-    planned = get_plan(stats, process, config).evaluate(config.rows)
+    try:
+        explanation = explain_standard_cell(module, process, config)
+    except ObservabilityError as exc:
+        return CheckResult(
+            name, False, f"plan diverges from the per-net derivation ({exc})"
+        )
+    direct = explanation.estimate
+    planned = get_plan(explanation.stats, process, config).evaluate(
+        config.rows
+    )
     if _fields(direct) == _fields(planned):
-        return CheckResult("plan_vs_direct", True)
+        return CheckResult(name, True)
     return CheckResult(
-        "plan_vs_direct", False,
-        f"plan diverges from direct path ({_mismatch(direct, planned)})",
+        name, False,
+        f"cached plan diverges from a fresh one "
+        f"({_mismatch(direct, planned)})",
     )
 
 
@@ -296,7 +303,7 @@ def check_spread_mode_agreement(
         module, process,
         config.with_(row_spread_mode="exact", rows=paper.rows),
     )
-    stats = _scan(module, process, config)
+    stats = scan_for(module, process, config)
     max_net = max(
         (size for size, _ in stats.multi_component_nets), default=0
     )
@@ -428,7 +435,7 @@ def check_backend_equivalence(
             name, True, "numpy backend unavailable; exact-only host"
         )
     config = config or EstimatorConfig()
-    stats = _scan(module, process, config)
+    stats = scan_for(module, process, config)
     rows_set = DEFAULT_PROBE_ROWS
     if config.rows is not None and config.rows not in rows_set:
         rows_set = rows_set + (config.rows,)
@@ -506,7 +513,7 @@ def check_serve_equivalence(
                          case_config: EstimatorConfig, label: str):
         served = estimate_from_jsonable(payload)
         direct = estimate_standard_cell_from_stats(
-            _scan(mirror, process, case_config), process, case_config
+            scan_for(mirror, process, case_config), process, case_config
         )
         if _fields(served) != _fields(direct):
             return CheckResult(

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.config import EstimatorConfig
-from repro.core.standard_cell import estimate_standard_cell
+from repro.core.config import EstimatorConfig, scan_for
+from repro.core.standard_cell import estimate_standard_cell_from_stats
 from repro.congestion.model import (
     congestion_distribution,
     resolve_channel_capacity,
@@ -43,7 +43,6 @@ from repro.errors import VerificationError
 from repro.layout.annealing import AnnealingSchedule
 from repro.layout.standard_cell_flow import layout_standard_cell
 from repro.netlist.model import Module
-from repro.netlist.stats import scan_module
 from repro.technology.process import ProcessDatabase
 from repro.verify.corpus import CaseSpec
 
@@ -97,16 +96,10 @@ def measure_congestion_case(
 
     schedule = schedule or verification_schedule()
     config = config or EstimatorConfig()
-    estimate = estimate_standard_cell(module, process, config)
+    stats = scan_for(module, process, config)
+    estimate = estimate_standard_cell_from_stats(stats, process, config)
     rows = min(estimate.rows, module.device_count)
     resolved_capacity, _ = resolve_channel_capacity(process, capacity)
-    stats = scan_module(
-        module,
-        device_width=process.device_width,
-        device_height=process.device_height,
-        port_width=config.port_pitch_override or process.port_pitch,
-        power_nets=config.power_nets,
-    )
     distribution = congestion_distribution(
         stats.multi_component_nets,
         rows,

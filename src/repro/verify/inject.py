@@ -1,18 +1,18 @@
 """Deliberate estimator perturbation, for testing the tester.
 
 A verification harness that has never caught anything proves nothing.
-:func:`perturbed_standard_cell` injects a controlled fault — scaling
-the *direct* standard-cell path's result while leaving the compiled
-plans untouched — so a verify run under injection must fail its
-``plan_vs_direct`` invariant (and, for large factors, the accuracy
-envelope), shrink the counterexample, and emit a replayable seed
-record.  The self-test lives in ``tests/test_verify_runner.py`` and
-can be reproduced from the CLI with ``mae verify --inject 1.2``.
+:func:`perturbed_standard_cell` injects a controlled fault into the one
+Eq. 12 assembly every standard-cell estimate runs
+(``EstimationPlan._assemble``), so a verify run under injection must
+fail its ``plan_vs_direct`` check — the per-net Eq. 2-11 derivation of
+:func:`repro.obs.explain.explain_standard_cell` no longer re-assembles
+into the estimate — shrink the counterexample, and emit a replayable
+seed record.  :func:`perturbed_backend` faults the ``numpy`` kernels,
+so ``backend_equivalence`` must trip.  The self-test lives in
+``tests/test_verify_runner.py`` and can be reproduced from the CLI
+with ``mae verify --inject 1.2``.
 
-The patch point is the module-global
-``repro.core.standard_cell.estimate_standard_cell_from_stats`` lookup,
-which both the facade and the stats-reusing callers resolve at call
-time; restoring it is exception-safe.
+Both patches are exception-safe.
 """
 
 from __future__ import annotations
@@ -26,17 +26,19 @@ from repro.errors import VerificationError
 
 @contextmanager
 def perturbed_standard_cell(scale: float = 1.2) -> Iterator[None]:
-    """Scale the direct standard-cell estimator's area by ``scale``
-    (tracks too, so the fault looks like a real model regression) for
-    the duration of the block."""
+    """Scale every standard-cell estimate's area by ``scale`` (tracks
+    too, so the fault looks like a real model regression) for the
+    duration of the block.  The plan cache is cleared on entry and on
+    exit, so an estimate memoized on either side of the block can never
+    hide (or outlive) the fault."""
     if scale <= 0:
         raise VerificationError(f"scale must be positive, got {scale}")
-    import repro.core.standard_cell as standard_cell
+    from repro.perf.plan import EstimationPlan, clear_plan_cache
 
-    original = standard_cell.estimate_standard_cell_from_stats
+    original = EstimationPlan._assemble
 
-    def perturbed(stats, process, config=None):
-        estimate = original(stats, process, config)
+    def perturbed(self, *args, **kwargs):
+        estimate = original(self, *args, **kwargs)
         return dataclasses.replace(
             estimate,
             tracks=max(estimate.tracks, round(estimate.tracks * scale)),
@@ -44,11 +46,13 @@ def perturbed_standard_cell(scale: float = 1.2) -> Iterator[None]:
             wiring_area=estimate.wiring_area * scale,
         )
 
-    standard_cell.estimate_standard_cell_from_stats = perturbed
+    clear_plan_cache()
+    EstimationPlan._assemble = perturbed
     try:
         yield
     finally:
-        standard_cell.estimate_standard_cell_from_stats = original
+        EstimationPlan._assemble = original
+        clear_plan_cache()
 
 
 @contextmanager

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -60,6 +61,27 @@ class TestVerifyCommand:
             "verify", "--seeds", "4", "--skip-envelope", "--inject", "1.0",
         ]) == 1
         assert "NOT caught" in capsys.readouterr().err
+
+    def test_injection_must_trip_plan_vs_direct(self, tmp_path, monkeypatch,
+                                                capsys):
+        """A blind plan_vs_direct fails the self-test even when another
+        gate (backend_equivalence, on a NumPy host) catches its fault."""
+        from repro.verify import checks, runner
+
+        blind = dataclasses.replace(
+            checks.check_named("plan_vs_direct"),
+            run=lambda case: checks.CheckResult("plan_vs_direct", True),
+        )
+        monkeypatch.setattr(runner, "CHECKS", tuple(
+            blind if check.name == blind.name else check
+            for check in checks.CHECKS
+        ))
+        monkeypatch.setitem(checks._BY_NAME, blind.name, blind)
+        assert main([
+            "verify", "--inject", "1.3", "--seeds", "6", "--skip-envelope",
+            "--records", str(tmp_path / "seeds.json"),
+        ]) == 1
+        assert "NOT caught by plan_vs_direct" in capsys.readouterr().err
 
     def test_replay_of_fixed_records(self, tmp_path, capsys):
         records = tmp_path / "seeds.json"

@@ -309,6 +309,32 @@ class TestCapacityResolution:
         score = routability_score(module, 3, PROCESS)
         assert score == congestion_report(module, PROCESS, rows=3).routability
 
+    def test_default_rows_are_the_estimators_from_one_scan(
+        self, monkeypatch
+    ):
+        """rows=None reports at the standard-cell estimate's Section 5
+        row count, scanning the module once."""
+        import repro.core.config as config_module
+        from repro.core.standard_cell import estimate_standard_cell
+
+        module = draw_corpus(1, base_seed=5)[0].build()
+        rows = estimate_standard_cell(module, PROCESS).rows
+        scans = []
+        original = config_module.scan_module
+
+        def counting(*args, **kwargs):
+            scans.append(args[0].name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(config_module, "scan_module", counting)
+        report = congestion_report(module, PROCESS)
+        assert scans == [module.name]
+        assert report == congestion_report(module, PROCESS, rows=rows)
+
+    def test_empty_module_is_a_typed_error(self):
+        with pytest.raises(EstimationError, match="empty module"):
+            congestion_report(Module("void"), PROCESS)
+
     def test_bad_rows_rejected(self):
         with pytest.raises(EstimationError, match="rows"):
             congestion_distribution(((3, 1),), 0, 4)
@@ -321,6 +347,7 @@ class TestCapacityResolution:
 # ----------------------------------------------------------------------
 class TestPlanCongestion:
     def test_plan_memoizes_per_rows_and_capacity(self):
+        """A plan's distribution depends on (rows, capacity) alone."""
         clear_plan_cache()
         module = draw_corpus(1, base_seed=11)[0].build()
         stats = scan_module(
@@ -331,11 +358,11 @@ class TestPlanCongestion:
         )
         plan = get_plan(stats, PROCESS, EstimatorConfig())
         first = plan.evaluate_congestion(3)
-        assert plan.evaluate_congestion(3) is first
+        assert plan.evaluate_congestion(3) == first
         at_five = plan.evaluate_congestion(3, capacity=5)
-        assert at_five is not first
-        assert plan.evaluate_congestion(3, capacity=5) is at_five
-        assert plan.evaluate_congestion(4) is not first
+        assert at_five != first
+        assert plan.evaluate_congestion(3, capacity=5) == at_five
+        assert plan.evaluate_congestion(4) != first
         with pytest.raises(EstimationError, match="capacity"):
             plan.evaluate_congestion(3, capacity=0)
 

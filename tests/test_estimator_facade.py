@@ -1,10 +1,82 @@
 """Tests for the ModuleAreaEstimator facade (Fig. 1)."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
+import repro.core.config as config_module
 from repro.core.estimator import ModuleAreaEstimator
 from repro.errors import EstimationError
 from repro.netlist.writers import write_spice, write_verilog
+from repro.workloads.suites import table1_suite, table2_suite
+
+#: Each Table 1/2 suite module's two-methodology record under nmos:
+#: (sha256 prefix of every field but ``cpu_seconds``, standard-cell
+#: area, full-custom exact-area area).  Computed with a facade that
+#: scanned once per methodology, so they pin that sharing one scan
+#: changes no field.
+PINNED = {
+    "t1_full_adder": ("5701aeebaf5a26be", 40392.0, 2435.05),
+    "t1_pass_chain": ("30152eb664e44571", 12838.0, 882.0),
+    "t1_decoder": ("2d9b2c6475793f8f", 30096.0, 2212.5),
+    "t1_latches": ("2a941173ea4272d3", 18432.0, 2162.0),
+    "t1_selector": ("dedd870715035ba7", 47642.0, 3305.75),
+    "t2_control": ("629978ebdcbb5a1d", 291942.6666666667, 58978.13333333333),
+    "t2_datapath": ("bd9bf84e680e41e6", 307849.6666666666, 45604.0),
+}
+
+
+def _digest(record) -> str:
+    fields = dataclasses.astuple(dataclasses.replace(record, cpu_seconds=0.0))
+    return hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
+
+
+class TestOnePath:
+    """Fig. 1 as one path: one scan per estimate, whose statistics feed
+    every methodology and the record."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        seen = []
+        original = config_module.scan_module
+
+        def counting(module, *args, **kwargs):
+            seen.append(module.name)
+            return original(module, *args, **kwargs)
+
+        monkeypatch.setattr(config_module, "scan_module", counting)
+        return seen
+
+    @pytest.mark.parametrize("methodologies", [
+        ("standard-cell", "full-custom"), ("standard-cell",),
+        ("full-custom",),
+    ])
+    def test_one_scan_per_estimate(self, scans, small_gate_module, nmos,
+                                   methodologies):
+        estimator = ModuleAreaEstimator(nmos)
+        estimator.estimate(small_gate_module, methodologies)
+        assert scans == [small_gate_module.name]
+        estimator.estimate(small_gate_module, methodologies)
+        assert len(scans) == 2  # nothing is kept across calls
+
+    def test_suite_records_are_pinned(self, nmos):
+        estimator = ModuleAreaEstimator(nmos)
+        for case in table1_suite() + table2_suite():
+            record = estimator.estimate(case.module)
+            digest, sc_area, fc_area = PINNED[case.module.name]
+            assert record.standard_cell.area == sc_area
+            assert record.full_custom.area == fc_area
+            assert _digest(record) == digest, case.module.name
+            sc_only = estimator.estimate(case.module, ("standard-cell",))
+            assert sc_only == dataclasses.replace(
+                record, full_custom=None, full_custom_average=None,
+                cpu_seconds=sc_only.cpu_seconds,
+            )
+            fc_only = estimator.estimate(case.module, ("full-custom",))
+            assert fc_only == dataclasses.replace(
+                record, standard_cell=None, cpu_seconds=fc_only.cpu_seconds,
+            )
 
 
 class TestEstimate:

@@ -299,13 +299,6 @@ class TestCopySemantics:
         assert module.has_device("inv3")
         assert not engine.module.has_device("inv3")
 
-    def test_adopted_module_is_mutated(self, cmos):
-        module = _chain()
-        engine = IncrementalEstimator(module, cmos, copy_module=False)
-        engine.apply(RemoveDevice("inv3"))
-        assert not module.has_device("inv3")
-        assert engine.module is module
-
 
 # ----------------------------------------------------------------------
 # aspect-ratio candidates

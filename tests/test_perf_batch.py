@@ -216,13 +216,13 @@ class TestScanReuse:
     def scans(self, monkeypatch):
         """Names of the modules ``estimate_batch`` scans, in order."""
         seen = []
-        original = batch_module.scan_module
+        original = batch_module.scan_for
 
         def counting(module, *args, **kwargs):
             seen.append(module.name)
             return original(module, *args, **kwargs)
 
-        monkeypatch.setattr(batch_module, "scan_module", counting)
+        monkeypatch.setattr(batch_module, "scan_for", counting)
         return seen
 
     @staticmethod

@@ -1,11 +1,14 @@
-"""Compiled estimation plans: bit-identical to the direct estimator.
+"""Compiled estimation plans: the one Eq. 12 assembly.
 
-The contract under test is exact equality — ``EstimationPlan.evaluate``
-must reproduce :func:`estimate_standard_cell_from_stats` **field for
-field**, for any histogram, any row count, and every combination of
-row-spread mode and feed-through model.  A Hypothesis sweep over random
-net-size histograms enforces it, and the shared Stirling triangle is
-checked against the independent ``surjection_count_recurrence`` oracle.
+The contract under test is that ``EstimationPlan.evaluate`` agrees with
+the per-net Eq. 2-11 derivation of
+:func:`repro.obs.explain.explain_standard_cell` — tracks and
+feed-throughs exactly, the Eq. 12 area to float tolerance — for any
+histogram, any row count, and every combination of row-spread mode,
+feed-through model and track model.  A Hypothesis sweep over modules
+built from random net-size histograms enforces it, and the shared
+Stirling triangle is checked against the independent
+``surjection_count_recurrence`` oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from repro.core.config import EstimatorConfig
 from repro.core.probability import surjection_count, surjection_count_recurrence
 from repro.core.standard_cell import estimate_standard_cell_from_stats
 from repro.errors import EstimationError
+from repro.netlist.model import Device, Module, Port, PortDirection
 from repro.netlist.stats import ModuleStatistics
+from repro.obs.explain import explain_standard_cell
 from repro.obs.trace import Tracer, use_tracer
 from repro.perf.backends import get_backend
 from repro.perf.kernels import (
@@ -55,6 +60,38 @@ def stats_from_histogram(histogram, devices=64, ports=6):
     )
 
 
+def module_from_histogram(histogram, devices=64, ports=6):
+    """A module whose signal nets form ``histogram``: for each (D, y_D),
+    y_D nets that each wire D distinct 7 x 18 lambda devices, plus
+    ``ports`` port-only nets."""
+    pins = {f"d{index}": {} for index in range(devices)}
+    cursor = 0
+    for size, count in histogram:
+        for _ in range(count):
+            net = f"n{cursor}_{size}"
+            for offset in range(size):
+                pins[f"d{(cursor + offset) % devices}"][f"p_{net}"] = net
+            cursor += size
+    module = Module("hypo")
+    for name, device_pins in pins.items():
+        module.add_device(Device(name, "CELL", device_pins,
+                                 width_lambda=7.0, height_lambda=18.0))
+    for index in range(ports):
+        module.add_port(Port(f"io{index}", PortDirection.INPUT))
+    return module
+
+
+def explained(histogram, process, config):
+    """The per-net derivation over a module built from ``histogram``
+    (it raises unless the terms re-assemble into the plan's estimate),
+    checked to have scanned back to ``histogram``."""
+    explanation = explain_standard_cell(
+        module_from_histogram(histogram), process, config
+    )
+    assert explanation.stats.net_size_histogram == histogram
+    return explanation
+
+
 histograms = st.dictionaries(
     keys=st.integers(min_value=1, max_value=25),
     values=st.integers(min_value=1, max_value=5),
@@ -64,6 +101,11 @@ histograms = st.dictionaries(
 
 
 class TestPlanBitIdentity:
+    """The plan against the per-net derivation: ``explain_standard_cell``
+    raises when the per-net tracks, feed-throughs or Eq. 12 area do not
+    re-assemble into the estimate a fresh plan produced, and the cached
+    plan must serve that estimate field for field."""
+
     @settings(max_examples=120, deadline=None)
     @given(
         histogram=histograms,
@@ -75,39 +117,32 @@ class TestPlanBitIdentity:
         self, histogram, rows, spread_mode, feedthrough_model
     ):
         process = nmos_process()
-        stats = stats_from_histogram(histogram)
         config = EstimatorConfig(
             row_spread_mode=spread_mode,
             feedthrough_model=feedthrough_model,
         )
-        direct = estimate_standard_cell_from_stats(
-            stats, process, config.with_rows(rows)
-        )
-        planned = compile_plan(stats, process, config).evaluate(rows)
-        assert planned == direct  # dataclass equality: every field
+        explanation = explained(histogram, process, config.with_rows(rows))
+        planned = get_plan(explanation.stats, process, config).evaluate(rows)
+        assert planned == explanation.estimate  # every field
 
     @settings(max_examples=30, deadline=None)
     @given(histogram=histograms)
     def test_plan_matches_with_chosen_rows(self, histogram):
-        """rows=None runs the Section 5 algorithm on both paths."""
+        """rows=None runs the Section 5 algorithm first."""
         process = nmos_process()
-        stats = stats_from_histogram(histogram)
-        direct = estimate_standard_cell_from_stats(stats, process)
-        planned = compile_plan(
-            stats, process, EstimatorConfig()
+        explanation = explained(histogram, process, EstimatorConfig())
+        planned = get_plan(
+            explanation.stats, process, EstimatorConfig()
         ).evaluate(None)
-        assert planned == direct
+        assert planned == explanation.estimate
 
     def test_shared_track_model_matches(self, nmos):
         histogram = ((2, 5), (3, 4), (6, 2), (11, 1))
-        stats = stats_from_histogram(histogram)
         config = EstimatorConfig(track_model="shared")
         for rows in (1, 2, 3, 5, 9):
-            direct = estimate_standard_cell_from_stats(
-                stats, nmos, config.with_rows(rows)
-            )
-            planned = compile_plan(stats, nmos, config).evaluate(rows)
-            assert planned == direct
+            explanation = explained(histogram, nmos, config.with_rows(rows))
+            planned = get_plan(explanation.stats, nmos, config).evaluate(rows)
+            assert planned == explanation.estimate
 
 
 class TestSharedTriangle:
@@ -359,20 +394,3 @@ class TestPlanTracing:
             plan_tracer.metrics.counters()
             == direct_tracer.metrics.counters()
         )
-
-    def test_low_row_feedthrough_span_reports_payload(self, nmos):
-        """rows < 3: the direct path's feed-through span still carries
-        its mean/feedthroughs payload (regression: the early return
-        used to skip it)."""
-        stats = stats_from_histogram(((2, 4), (5, 2)))
-        tracer = Tracer()
-        with use_tracer(tracer):
-            estimate_standard_cell_from_stats(
-                stats, nmos, EstimatorConfig(rows=2)
-            )
-        spans = [
-            r for r in tracer.records() if r["name"] == "sc.feedthroughs"
-        ]
-        assert len(spans) == 1
-        assert spans[0]["payload"]["mean"] == 0.0
-        assert spans[0]["payload"]["feedthroughs"] == 0

@@ -332,13 +332,13 @@ class TestWarmRaces:
         cold_edited = self._cold(cmos, edit=True)
         assert cold_edited != cold
         scanned = []
-        original = batch_module.scan_module
+        original = batch_module.scan_for
 
         def counting(module, *args, **kwargs):
             scanned.append(module.name)
             return original(module, *args, **kwargs)
 
-        monkeypatch.setattr(batch_module, "scan_module", counting)
+        monkeypatch.setattr(batch_module, "scan_for", counting)
         clear_plan_cache()
         design = self._design()
         first = run_portfolio(design, cmos, self.CONFIG)

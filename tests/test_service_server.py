@@ -225,6 +225,47 @@ class TestErrorContract:
             "POST /sessions/{id}/estimate:404"
         ] == 1
 
+    def test_reply_is_counted_before_it_is_written(self, monkeypatch):
+        """Every reply, the in-flight 429 included, is observed in
+        /metrics before its bytes go out, so a client holding a reply
+        always finds it counted."""
+        server = start_server(
+            EstimationEngine(ServiceConfig()), max_inflight=1
+        )
+        events = []
+        observe = server.observe
+        handler = server._httpd.RequestHandlerClass
+        reply = handler._reply
+
+        def observing(endpoint, seconds, status):
+            events.append(("observe", status))
+            observe(endpoint, seconds, status)
+
+        def replying(self, status, data):
+            events.append(("write", status))
+            reply(self, status, data)
+
+        monkeypatch.setattr(server, "observe", observing)
+        monkeypatch.setattr(handler, "_reply", replying)
+        try:
+            assert request(server.base_url, "GET", "/health")[0] == 200
+            assert request(
+                server.base_url, "POST", "/sessions/s999999/estimate", {}
+            )[0] == 404
+            # Take the only slot: the next request is turned away.
+            assert server._inflight.acquire(timeout=5)
+            try:
+                assert request(server.base_url, "GET", "/health")[0] == 429
+            finally:
+                server._inflight.release()
+        finally:
+            server.stop(drain=True)
+        assert events == [
+            ("observe", 200), ("write", 200),
+            ("observe", 404), ("write", 404),
+            ("observe", 429), ("write", 429),
+        ]
+
     def test_wrong_method_405(self, server):
         assert request(server.base_url, "DELETE", "/health")[0] == 405
         assert request(server.base_url, "GET", "/shutdown")[0] == 405

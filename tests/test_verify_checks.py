@@ -64,6 +64,14 @@ class TestEquivalenceChecks:
         assert not result.passed
         assert "diverges" in result.detail
 
+    def test_injection_trips_after_warm_plans(self, module, cmos):
+        """An estimate the cached plan memoized before the injection
+        can neither hide the fault nor outlive it."""
+        assert check_plan_vs_direct(module, cmos).passed
+        with perturbed_standard_cell(1.2):
+            assert not check_plan_vs_direct(module, cmos).passed
+        assert check_plan_vs_direct(module, cmos).passed
+
     def test_injection_restores_on_exit(self, module, cmos):
         with perturbed_standard_cell(1.2):
             pass
