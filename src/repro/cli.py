@@ -1049,8 +1049,8 @@ def _cmd_verify(args) -> None:
     from repro.errors import VerificationError
     from repro.perf.backends import available_backends
     from repro.verify import (
+        CHECKS,
         VerifyOptions,
-        check_named,
         load_records,
         perturbed_backend,
         perturbed_standard_cell,
@@ -1101,6 +1101,14 @@ def _cmd_verify(args) -> None:
         total = counts["passed"] + counts["failed"]
         marker = "ok " if counts["failed"] == 0 else "FAIL"
         print(f"  {marker} {name}: {counts['passed']}/{total}")
+    # Selected checks the corpus gave no applicable case (it draws its
+    # full-custom families first, so a standard-cell check needs
+    # --seeds 4 or more).
+    selected = [check.name for check in CHECKS if options.wants(check)]
+    unrun = [name for name in selected if name not in report.check_counts]
+    no_case = f"no applicable case among {len(report.cases)}"
+    for name in unrun:
+        print(f"  skip {name}: {no_case}")
     for record in report.envelopes.values():
         for line in _describe_envelope(record):
             print(f"  envelope {line}")
@@ -1146,19 +1154,27 @@ def _cmd_verify(args) -> None:
         gates = ["plan_vs_direct"]
         if "numpy" in available_backends():
             gates.append("backend_equivalence")
+        not_run = [name for name in gates if name in unrun]
         blind = [
             name for name in gates
-            if options.wants(check_named(name))
-            and not report.check_counts.get(name, {}).get("failed")
+            if name in selected and name not in unrun
+            and not report.check_counts[name]["failed"]
         ]
-        if report.passed or blind:
+        if report.passed or blind or not_run:
             raise VerificationError(
                 f"injected perturbation x{args.inject} was NOT caught"
                 + (f" by {', '.join(blind)}" if blind else "")
-                + " — the harness is blind"
+                + (" — the harness is blind" if blind or not not_run
+                   else "")
+                + "".join(f"; {name} not run: {no_case}"
+                          for name in not_run)
             )
         print(f"injected perturbation x{args.inject} caught as expected")
         return
+    if options.checks is not None and unrun:
+        raise VerificationError(
+            f"--check {', '.join(unrun)}: {no_case} (raise --seeds)"
+        )
     if not report.passed:
         raise VerificationError(
             "verification failed: "

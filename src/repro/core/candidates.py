@@ -27,7 +27,6 @@ from repro.core.config import EstimatorConfig, scan_for
 from repro.core.full_custom import estimate_full_custom
 from repro.core.results import (
     FullCustomEstimate,
-    ModuleEstimate,
     StandardCellEstimate,
 )
 from repro.core.standard_cell import choose_initial_rows
@@ -78,12 +77,12 @@ def standard_cell_candidates_from_stats(
     )
     row_counts = _spread_around(centre, count, config.max_rows)
     # Deferred: repro.perf.plan imports repro.core.standard_cell.
-    from repro.perf.plan import get_plan
+    from repro.perf.plan import compile_plan
 
     # One batched plan evaluation covers the whole spread (the numpy
     # backend's 2-D row-sweep kernel; a loop of evaluate() under
     # exact).
-    plan = get_plan(stats, process, config)
+    plan = compile_plan(stats, process, config)
     return list(plan.evaluate_rows(row_counts))
 
 

@@ -8,7 +8,7 @@ scan under a config's scan signature: every estimator scans through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.errors import EstimationError
@@ -139,7 +139,7 @@ class EstimatorConfig:
     def with_rows(self, rows: Optional[int]) -> "EstimatorConfig":
         """Copy with a fixed row count (row-sweep studies); ``self``
         when the row count is already ``rows`` (configs are frozen, and
-        the plan cache asks for ``with_rows(None)`` on every lookup)."""
+        ``estimate_batch`` keys its held plans by ``with_rows(None)``)."""
         if rows == self.rows:
             return self
         return replace(self, rows=rows)
@@ -153,7 +153,6 @@ def scan_for(
     module: Module,
     process: ProcessDatabase,
     config: Optional[EstimatorConfig] = None,
-    stats_version: Optional[int] = None,
 ) -> ModuleStatistics:
     """The schematic scan under ``config``'s scan signature: the
     process's device geometry, ``port_pitch_override`` (else the
@@ -162,7 +161,6 @@ def scan_for(
     Every estimator scans through here, so the signature is written
     once, and a traced scan records one ``scan`` span (``module``,
     ``devices``, ``nets``) and counts ``scan.modules``.
-    ``stats_version`` stamps the snapshot with a netlist revision.
     """
     config = config or EstimatorConfig()
     tracer = current_tracer()
@@ -173,7 +171,6 @@ def scan_for(
             device_height=process.device_height,
             port_width=config.port_pitch_override or process.port_pitch,
             power_nets=config.power_nets,
-            stats_version=stats_version,
         )
         if tracer.enabled:
             span.set("module", stats.module_name)

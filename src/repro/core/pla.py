@@ -24,7 +24,6 @@ P1 benchmark's linearity check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 

@@ -8,7 +8,7 @@ the tables and for the floor planner to consume the estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.netlist.stats import ModuleStatistics

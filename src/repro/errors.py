@@ -46,13 +46,6 @@ class EstimationError(ReproError):
     """The estimator was given inputs it cannot produce an estimate for."""
 
 
-class StaleStatisticsError(EstimationError):
-    """A ModuleStatistics snapshot is older than the netlist it claims
-    to describe (its ``stats_version`` does not match the expected
-    revision).  Raised loudly instead of silently serving a plan that
-    was compiled for a different netlist state."""
-
-
 class BackendUnavailableError(EstimationError):
     """A kernel evaluation backend was requested explicitly but its
     runtime dependency (NumPy, for the ``numpy`` backend) is not

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from repro.core.config import EstimatorConfig, scan_for
 from repro.layout.annealing import timberwolf_1988_schedule
 from repro.layout.standard_cell_flow import layout_standard_cell
-from repro.perf.plan import get_plan
+from repro.perf.plan import compile_plan
 from repro.reporting import format_percent, render_table
 from repro.technology.libraries import nmos_process
 from repro.technology.process import ProcessDatabase
@@ -75,9 +75,9 @@ def run_scaling_experiment(
         # Scan once; both the upper-bound and shared-model estimates
         # come from compiled plans over the same statistics.
         stats = scan_for(module, process)
-        upper = get_plan(stats, process, EstimatorConfig()).evaluate()
+        upper = compile_plan(stats, process, EstimatorConfig()).evaluate()
         rows = upper.rows
-        shared = get_plan(
+        shared = compile_plan(
             stats, process,
             EstimatorConfig(rows=rows, track_model="shared"),
         ).evaluate(rows)

@@ -16,7 +16,7 @@ resolvable against whatever technology the module was built for.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from repro.errors import NetlistError
 from repro.incremental.mutations import (

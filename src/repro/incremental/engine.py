@@ -5,7 +5,7 @@ statistics — the device width/height/area histograms and the net-degree
 histogram — *live* under ECO edits.  Applying a
 :class:`~repro.incremental.mutations.Mutation` touches only the nets and
 devices the edit names (O(affected nets)), never rescans the netlist,
-and bumps a revision counter that stamps every statistics snapshot.
+and bumps a revision counter (:attr:`IncrementalEstimator.stats_version`).
 
 Bit-identical by construction
 -----------------------------
@@ -23,12 +23,13 @@ bit for bit.  The Hypothesis suite in
 Plan reuse
 ----------
 
-:meth:`estimate` plans through :func:`repro.perf.plan.get_plan`, which
-keys on statistics *content*: an edit that cancels out (or only touches
-power rails) hashes to the same key and reuses the compiled plan; a
-real histogram change misses and compiles fresh.  Every planning call
-passes ``expected_version`` so a stale snapshot can never silently
-serve — see :class:`~repro.errors.StaleStatisticsError`.
+The engine keeps the plan of its current snapshot and nothing else.
+:meth:`estimate` reuses that plan while the snapshot's *content*
+equals the plan's statistics and the resolved backend is unchanged: an
+edit that cancels out (or only touches power rails) keeps the plan and
+its memos; a real histogram change compiles a fresh plan and drops the
+old one.  The plan dies with the engine (and so with its ``mae serve``
+session).
 
 Observability: ``incremental.apply`` counts edits applied,
 ``incremental.rescan_avoided`` counts estimates served from maintained
@@ -39,7 +40,7 @@ planning calls by whether the histogram change forced a new plan.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.core.config import EstimatorConfig, scan_for
 from repro.core.results import StandardCellEstimate
@@ -61,7 +62,8 @@ from repro.netlist.stats import (
     resolve_dimensions,
 )
 from repro.obs.trace import current_tracer
-from repro.perf.plan import EstimationPlan, get_plan
+from repro.perf.backends import resolve_backend_name
+from repro.perf.plan import EstimationPlan, compile_plan, note_plan_hit
 from repro.technology.process import ProcessDatabase
 
 MutationInput = Union[Mutation, Sequence[Mutation]]
@@ -102,7 +104,8 @@ class IncrementalEstimator:
         self._device_height = process.device_height
         self._version = 0
         self._snapshot: Optional[ModuleStatistics] = None
-        self._last_plan: Optional[EstimationPlan] = None
+        #: The plan of the current snapshot's content (see _plan_for).
+        self._plan: Optional[EstimationPlan] = None
         self._rebuild()
 
     # ------------------------------------------------------------------
@@ -119,8 +122,8 @@ class IncrementalEstimator:
         return self._version
 
     def statistics(self) -> ModuleStatistics:
-        """The current statistics snapshot, stamped with
-        :attr:`stats_version` (cached until the next edit)."""
+        """The current statistics snapshot (cached until the next
+        edit)."""
         if self._snapshot is None:
             self._snapshot = build_statistics(
                 module_name=self._module.name,
@@ -131,17 +134,13 @@ class IncrementalEstimator:
                 area_histogram=self._areas,
                 net_size_histogram=self._net_sizes,
                 port_width_histogram=self._port_widths,
-                stats_version=self._version,
             )
         return self._snapshot
 
     def rescan(self) -> ModuleStatistics:
-        """A from-scratch scan of the tracked module, stamped with the
-        current revision — the oracle :meth:`statistics` must equal."""
-        return scan_for(
-            self._module, self.process, self.config,
-            stats_version=self._version,
-        )
+        """A from-scratch scan of the tracked module — the oracle
+        :meth:`statistics` must equal."""
+        return scan_for(self._module, self.process, self.config)
 
     # ------------------------------------------------------------------
     # editing
@@ -179,20 +178,13 @@ class IncrementalEstimator:
         """The Eq. 12 estimate of the module as it stands now.
 
         Served from the maintained statistics — no rescan — through the
-        plan cache, with the snapshot's revision asserted.  ``rows``
-        defaults to the config's row policy (Section 5 initial rows
-        when that is ``None`` too).
+        engine's plan (:meth:`_plan_for`).  ``rows`` defaults to the
+        config's row policy (Section 5 initial rows when that is
+        ``None`` too).
         """
         tracer = current_tracer()
         with tracer.span("incremental.estimate") as span:
-            stats = self.statistics()
-            plan = get_plan(
-                stats, self.process, self.config,
-                expected_version=self._version,
-                backend=self.backend,
-            )
-            reused = plan is self._last_plan
-            self._last_plan = plan
+            plan, reused = self._plan_for()
             if tracer.enabled:
                 span.set("module", self._module.name)
                 span.set("version", self._version)
@@ -212,7 +204,7 @@ class IncrementalEstimator:
     ) -> Tuple[StandardCellEstimate, ...]:
         """Eq. 12 estimates at several row counts in one planning call.
 
-        The multi-row form of :meth:`estimate`: one plan lookup, then
+        The multi-row form of :meth:`estimate`: one plan, then
         :meth:`~repro.perf.plan.EstimationPlan.evaluate_rows` — a
         single batched 2-D kernel evaluation under the numpy backend, a
         per-row loop under exact, bit-identical either way.  The
@@ -224,14 +216,7 @@ class IncrementalEstimator:
             return ()
         tracer = current_tracer()
         with tracer.span("incremental.estimate_rows") as span:
-            stats = self.statistics()
-            plan = get_plan(
-                stats, self.process, self.config,
-                expected_version=self._version,
-                backend=self.backend,
-            )
-            reused = plan is self._last_plan
-            self._last_plan = plan
+            plan, reused = self._plan_for()
             if tracer.enabled:
                 span.set("module", self._module.name)
                 span.set("version", self._version)
@@ -244,6 +229,26 @@ class IncrementalEstimator:
                 else:
                     metrics.incr("incremental.plan_invalidated")
             return plan.evaluate_rows(row_counts)
+
+    def _plan_for(self) -> Tuple[EstimationPlan, bool]:
+        """The plan of the current snapshot and whether it was reused:
+        the held plan while its statistics equal the snapshot's content
+        and its backend is the one this engine resolves to now, else a
+        fresh compilation that replaces it."""
+        stats = self.statistics()
+        backend_name = resolve_backend_name(self.backend)
+        plan = self._plan
+        if (
+            plan is not None
+            and plan.backend_name == backend_name
+            and (plan.stats is stats or plan.stats == stats)
+        ):
+            note_plan_hit()
+            return plan, True
+        self._plan = compile_plan(
+            stats, self.process, self.config, backend_name
+        )
+        return self._plan, False
 
     def estimate_after(
         self, mutations: MutationInput, rows: Optional[int] = None

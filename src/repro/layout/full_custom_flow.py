@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import EstimatorConfig
 from repro.errors import LayoutError
 from repro.layout.annealing import AnnealingSchedule, anneal
-from repro.layout.geometry import Point, Rect, bounding_box, half_perimeter
+from repro.layout.geometry import Rect, bounding_box, half_perimeter
 from repro.netlist.model import Module
 from repro.technology.process import ProcessDatabase
 from repro.units import normalized_aspect

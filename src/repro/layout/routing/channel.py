@@ -30,7 +30,7 @@ track count on constrained channels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.errors import LayoutError
 from repro.layout.geometry import Interval, interval_density

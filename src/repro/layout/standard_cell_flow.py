@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.config import EstimatorConfig
 from repro.errors import LayoutError
@@ -20,7 +20,7 @@ from repro.layout.annealing import AnnealingSchedule
 from repro.layout.placement.row_placer import Placement, place_module
 from repro.layout.routing.channel import ChannelResult, route_channel
 from repro.layout.routing.feedthrough import insert_feedthroughs
-from repro.layout.routing.global_route import ChannelAssignment, global_route
+from repro.layout.routing.global_route import global_route
 from repro.netlist.model import Module
 from repro.technology.process import ProcessDatabase
 from repro.units import normalized_aspect

@@ -35,16 +35,14 @@ under netlist edits in O(affected nets) and still guarantee results
 field-for-field equal to a from-scratch rescan:
 :func:`build_statistics` is the single constructor both paths call.
 
-Statistics are immutable snapshots; the optional ``stats_version``
-token stamps which revision of a mutating netlist a snapshot was taken
-at.  It is excluded from equality/hashing (two identical-content
-snapshots are interchangeable) but lets caches fail loudly on stale
-reuse — see :func:`repro.perf.plan.get_plan`.
+Statistics are immutable snapshots compared by content: two snapshots
+with equal fields are interchangeable, whichever path or netlist
+revision produced them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import EstimationError
@@ -72,10 +70,6 @@ class ModuleStatistics:
     total_device_area: float
     total_port_width: float
     max_net_size: int
-    #: Netlist revision this snapshot was taken at (None: not tracked).
-    #: Excluded from comparison/hashing — snapshots with equal content
-    #: are interchangeable regardless of when they were taken.
-    stats_version: Optional[int] = field(default=None, compare=False)
 
     @property
     def distinct_width_count(self) -> int:
@@ -148,7 +142,6 @@ def build_statistics(
     area_histogram: Mapping[float, int],
     net_size_histogram: Mapping[int, int],
     port_width_histogram: Mapping[float, int],
-    stats_version: Optional[int] = None,
 ) -> ModuleStatistics:
     """Assemble a :class:`ModuleStatistics` from value histograms.
 
@@ -178,7 +171,6 @@ def build_statistics(
         total_device_area=weighted_total(area_histogram),
         total_port_width=weighted_total(port_width_histogram),
         max_net_size=max(sizes) if sizes else 0,
-        stats_version=stats_version,
     )
 
 
@@ -188,7 +180,6 @@ def scan_module(
     device_height: Optional[DimensionResolver] = None,
     port_width: float = 8.0,
     power_nets: Iterable[str] = DEFAULT_POWER_NETS,
-    stats_version: Optional[int] = None,
 ) -> ModuleStatistics:
     """Scan a module and compute the estimation inputs.
 
@@ -229,7 +220,6 @@ def scan_module(
         area_histogram=areas,
         net_size_histogram=net_sizes,
         port_width_histogram=port_widths,
-        stats_version=stats_version,
     )
 
 

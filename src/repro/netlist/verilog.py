@@ -21,7 +21,7 @@ reported instead of mis-estimated.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import ParseError
 from repro.netlist.model import Device, Module, Port, PortDirection

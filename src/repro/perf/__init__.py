@@ -52,7 +52,6 @@ _LAZY_EXPORTS = {
     "estimate_batch": "batch",
     "EstimationPlan": "plan",
     "compile_plan": "plan",
-    "get_plan": "plan",
     "plan_cache_stats": "plan",
     "clear_plan_cache": "plan",
     "ExactBackend": "backends",
@@ -96,7 +95,6 @@ __all__ = [
     "current_backend_name",
     "estimate_batch",
     "get_backend",
-    "get_plan",
     "kernel_cache_stats",
     "plan_cache_stats",
     "resolve_backend_name",

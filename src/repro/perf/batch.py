@@ -21,9 +21,13 @@ serially in this process, bit-identical to per-call estimation.
 Standard-cell tasks evaluate through compiled
 :class:`~repro.perf.plan.EstimationPlan` objects (one compilation per
 module per distinct config family, then one array-at-once evaluation
-per row count), and each result hands back the plan that produced it,
-so a caller that keeps estimating an unedited module (the floorplan
-race, the C2 loop) reuses that one object instead of scanning again.
+per row count).  The plans are held beside the module's scan
+(:class:`~repro.perf.plan.HeldScan`), so a later call over the unedited
+module gets the same plan and its memos, and they die with the module.
+Each result hands back the plan that produced it, so a caller that
+keeps estimating an unedited module (the floorplan race, the C2 loop)
+reuses that one object instead of scanning again.  While reuse is off
+a call compiles the plans it needs and keeps none.
 
 The sweep helpers (``sweep_rows``, Table 1/2 drivers, the ablations,
 the floorplan prefill) all route through here.
@@ -31,22 +35,24 @@ the floorplan prefill) all route through here.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
-from typing import (
-    Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union,
-)
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import EstimatorConfig, scan_for
 from repro.core.full_custom import estimate_full_custom
 from repro.core.results import FullCustomEstimate, StandardCellEstimate
 from repro.errors import EstimationError
 from repro.netlist.model import Module
-from repro.netlist.stats import ModuleStatistics
 from repro.obs.trace import current_tracer
 from repro.perf.backends import resolve_backend_name
 from repro.perf.plan import (
-    EstimationPlan, get_plan, note_scan_reuse, reuse_generation,
+    HELD_SCANS,
+    EstimationPlan,
+    HeldScan,
+    compile_plan,
+    note_plan_hit,
+    note_scan_reuse,
+    reuse_generation,
 )
 from repro.technology.process import ProcessDatabase
 
@@ -54,25 +60,6 @@ from repro.technology.process import ProcessDatabase
 BATCH_METHODOLOGIES = ("standard-cell", "full-custom")
 
 Estimate = Union[StandardCellEstimate, FullCustomEstimate]
-
-
-class _HeldScan(NamedTuple):
-    """A module's last scan and everything it was taken under."""
-
-    generation: int
-    revision: int
-    process: ProcessDatabase
-    port_width: float
-    power_nets: Tuple[str, ...]
-    stats: ModuleStatistics
-
-
-#: Module -> its last scan.  Weakly keyed: a dropped module takes its
-#: entry with it, in one dict operation on whichever thread drops it,
-#: so the dispatcher thread that fills the store needs no lock.
-_SCANS: "weakref.WeakKeyDictionary[Module, _HeldScan]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 @dataclass(frozen=True)
@@ -190,14 +177,26 @@ def _run_group(
 ) -> List[Tuple[Estimate, Optional[EstimationPlan]]]:
     """All (methodology x config) estimates for one module, each with
     the plan that produced it, sharing one schematic scan per scan
-    signature."""
-    scans: dict = {}
+    signature and one plan per (scan, config family)."""
+    held: dict = {}
 
-    def stats_for(config: EstimatorConfig) -> ModuleStatistics:
+    def held_for(config: EstimatorConfig) -> HeldScan:
         key = (config.port_pitch_override, config.power_nets)
-        if key not in scans:
-            scans[key] = _scan(module, process, config)
-        return scans[key]
+        if key not in held:
+            held[key] = _held_scan(module, process, config)
+        return held[key]
+
+    def plan_for(config: EstimatorConfig) -> EstimationPlan:
+        scan = held_for(config)
+        key = (config.with_rows(None), backend_name)
+        plan = scan.plans.get(key)
+        if plan is None:
+            plan = scan.plans[key] = compile_plan(
+                scan.stats, process, config, backend_name
+            )
+        else:
+            note_plan_hit()
+        return plan
 
     estimates: List[Tuple[Estimate, Optional[EstimationPlan]]] = []
     for methodology in methodologies:
@@ -205,22 +204,21 @@ def _run_group(
             for config in configs:
                 estimates.append((
                     estimate_full_custom(
-                        module, process, config, stats=stats_for(config)
+                        module, process, config,
+                        stats=held_for(config).stats,
                     ),
                     None,
                 ))
             continue
-        # Compiled-plan path: one compilation per (stats, config
-        # family), and consecutive configs that differ only in their
-        # explicit row count — the row-sweep shape — collapse into one
-        # batched plan.evaluate_rows() call (the numpy backend's 2-D
+        # Compiled-plan path: one plan per (scan, config family), and
+        # consecutive configs that differ only in their explicit row
+        # count — the row-sweep shape — collapse into one batched
+        # plan.evaluate_rows() call (the numpy backend's 2-D
         # kernel; a plain loop under exact).
         index = 0
         while index < len(configs):
             config = configs[index]
-            plan = get_plan(
-                stats_for(config), process, config, backend=backend_name
-            )
+            plan = plan_for(config)
             run = [config]
             if config.rows is not None:
                 family = config.with_rows(None)
@@ -240,22 +238,22 @@ def _run_group(
     return estimates
 
 
-def _scan(
+def _held_scan(
     module: Module,
     process: ProcessDatabase,
     config: EstimatorConfig,
-) -> ModuleStatistics:
+) -> HeldScan:
     """:func:`~repro.core.config.scan_for` under ``config``'s scan
-    signature, reusing an earlier call's statistics while the module
-    is unedited."""
+    signature, with the plans compiled from it: an earlier call's while
+    the module is unedited, else a fresh scan, filed for later calls
+    while reuse is on."""
     port_width = config.port_pitch_override or process.port_pitch
     power_nets = config.power_nets
-    generation = reuse_generation(current_tracer())
-    if generation is not None:
-        held = _SCANS.get(module)
+    reuse = reuse_generation(current_tracer()) is not None
+    if reuse:
+        held = HELD_SCANS.get(module)
         if (
             held is not None
-            and held.generation == generation
             and held.revision == module.revision
             and held.process is process
             and held.port_width == port_width
@@ -263,14 +261,14 @@ def _scan(
             and held.stats.module_name == module.name
         ):
             note_scan_reuse()
-            return held.stats
-    stats = scan_for(module, process, config)
-    if generation is not None:
-        _SCANS[module] = _HeldScan(
-            generation, module.revision, process, port_width, power_nets,
-            stats,
-        )
-    return stats
+            return held
+    held = HeldScan(
+        module.revision, process, port_width, power_nets,
+        scan_for(module, process, config), {},
+    )
+    if reuse:
+        HELD_SCANS[module] = held
+    return held
 
 
 def _normalise_configs(

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import random

@@ -6,7 +6,7 @@ compiles a fresh one per call, and the callers that re-estimate a
 module at many row counts (the floorplan race, served sessions,
 :func:`~repro.perf.batch.estimate_batch`) keep one.
 
-A plan is compiled **once** per (module statistics, process,
+A plan is compiled from one (module statistics, process,
 config-sans-rows) triple: the (D, y_D) histogram is frozen into dense
 parallel tuples, the Eq. 12 process constants are pre-resolved, and
 :meth:`EstimationPlan.evaluate` produces a
@@ -17,19 +17,25 @@ call for all track demands, one for the feed-through mean.  The
 test hold the assembly to the per-net Eq. 2-11 derivation of
 :func:`repro.obs.explain.explain_standard_cell`.
 
-Plans are cached process-wide (:func:`get_plan`).  Compilation
-statistics live in :func:`plan_cache_stats` (cache-stats space, like
-the kernel caches) — deliberately *not* in the additive tracer counter
-space, because plan cache hits depend on process history, not on the
-workload.
+A plan lives with its owner; no process-wide cache keeps one.
+``estimate_batch`` files the plans it compiles beside the module's held
+scan (:data:`HELD_SCANS`, weakly keyed by the module), so a later call
+over the unedited module gets the same plan object and its memos, and a
+dropped module takes its plans with it; an
+:class:`~repro.incremental.IncrementalEstimator` keeps the plan of its
+current snapshot; one-shot callers call :func:`compile_plan`.
+Compilation statistics live in :func:`plan_cache_stats` (cache-stats
+space, like the kernel caches) — deliberately *not* in the additive
+tracer counter space, because held-plan hits depend on process
+history, not on the workload.
 
 A plan also memoizes its estimates per requested row count, so a
 caller that asks an unedited module the same question twice (the
 floorplan race, a served session) evaluates once, and it keeps the
 floorplan race's prices of its module
 (:meth:`EstimationPlan.memoized_price`), so a later race over the
-unedited module prices nothing again.  Those memos, and the scan reuse
-of :func:`repro.perf.batch.estimate_batch`, follow one rule
+unedited module prices nothing again.  Those memos, and the held scans
+and plans of :func:`repro.perf.batch.estimate_batch`, follow one rule
 (:func:`reuse_generation`): they are off under
 :func:`~repro.perf.kernels.caches_disabled` and while the tracer
 collects, and :func:`clear_plan_cache` forgets them all.  Their hits
@@ -39,13 +45,15 @@ are counted in :func:`plan_cache_stats`.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+import weakref
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.core.config import EstimatorConfig
 from repro.core.probability import expected_feedthroughs
 from repro.core.results import StandardCellEstimate
 from repro.core.standard_cell import choose_initial_rows
-from repro.errors import EstimationError, StaleStatisticsError
+from repro.errors import EstimationError
+from repro.netlist.model import Module
 from repro.netlist.stats import ModuleStatistics
 from repro.obs.trace import current_tracer
 from repro.perf.backends import get_backend, resolve_backend_name
@@ -57,12 +65,12 @@ from repro.units import round_up
 class EstimationPlan:
     """One module's standard-cell estimator, compiled for re-evaluation.
 
-    Construct via :func:`compile_plan` (validates) or :func:`get_plan`
-    (process-wide cache).  ``evaluate(rows)`` is the Eq. 12 estimate
-    at ``rows``; ``evaluate(None)`` runs the Section 5 initial-row
-    algorithm first.  Repeated row counts are served from the plan's
-    memo, except while the tracer collects: a traced call always
-    evaluates, so traced row-iteration counters stay workload-derived.
+    Construct via :func:`compile_plan` (validates).  ``evaluate(rows)``
+    is the Eq. 12 estimate at ``rows``; ``evaluate(None)`` runs the
+    Section 5 initial-row algorithm first.  Repeated row counts are
+    served from the plan's memo, except while the tracer collects: a
+    traced call always evaluates, so traced row-iteration counters
+    stay workload-derived.
     """
 
     __slots__ = (
@@ -367,8 +375,8 @@ def compile_plan(
     config: Optional[EstimatorConfig] = None,
     backend: Optional[str] = None,
 ) -> EstimationPlan:
-    """Compile a fresh plan (no cache); an empty module is rejected
-    with :class:`~repro.errors.EstimationError`."""
+    """Compile a fresh plan; an empty module is rejected with
+    :class:`~repro.errors.EstimationError`."""
     config = config or EstimatorConfig()
     if stats.device_count == 0:
         raise EstimationError(
@@ -379,16 +387,34 @@ def compile_plan(
 
 
 # ----------------------------------------------------------------------
-# the process-wide plan cache
+# where plans are held, and the one reuse rule
 # ----------------------------------------------------------------------
-_PLAN_CACHE: Dict[tuple, EstimationPlan] = {}
+class HeldScan(NamedTuple):
+    """A module's last :func:`~repro.perf.batch.estimate_batch` scan,
+    everything it was taken under, and the plans compiled from its
+    statistics, keyed by (config without rows, resolved backend name)."""
+
+    revision: int
+    process: ProcessDatabase
+    port_width: float
+    power_nets: Tuple[str, ...]
+    stats: ModuleStatistics
+    plans: Dict[tuple, EstimationPlan]
+
+
+#: Module -> its :class:`HeldScan`, filed by ``estimate_batch`` while
+#: reuse is on.  Weakly keyed: a dropped module takes its scan and its
+#: plans with it, in one dict operation on whichever thread drops it,
+#: so the dispatcher thread that fills the store needs no lock.
+HELD_SCANS: "weakref.WeakKeyDictionary[Module, HeldScan]" = (
+    weakref.WeakKeyDictionary()
+)
 _PLAN_COUNTERS = {
     "hits": 0, "compilations": 0, "evaluations": 0,
     "estimate_memo_hits": 0, "price_memo_hits": 0, "scans_reused": 0,
 }
-#: Cross-call reuse (plan estimate and price memos, ``estimate_batch``
-#: scans) is valid within one generation; :func:`clear_plan_cache`
-#: starts the next.
+#: A plan's estimate and price memos are valid within one generation;
+#: :func:`clear_plan_cache` starts the next.
 _REUSE = {"generation": 0}
 
 
@@ -402,63 +428,6 @@ def reuse_generation(tracer) -> Optional[int]:
     return _REUSE["generation"]
 
 
-def _plan_key(
-    stats: ModuleStatistics,
-    process: ProcessDatabase,
-    config: EstimatorConfig,
-    backend_name: str,
-) -> tuple:
-    # Only these three process constants reach the Eq. 12 arithmetic
-    # (device geometry is already baked into the scan statistics), so
-    # they — not object identity — define plan equivalence.  The
-    # backend is part of the key: a plan compiled for ``numpy`` must
-    # never be served to an ``exact`` caller (and vice versa).
-    return (
-        stats,
-        (process.row_height, process.track_pitch,
-         process.feedthrough_width),
-        config.with_rows(None),
-        backend_name,
-    )
-
-
-def get_plan(
-    stats: ModuleStatistics,
-    process: ProcessDatabase,
-    config: Optional[EstimatorConfig] = None,
-    expected_version: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> EstimationPlan:
-    """The cached plan for this (stats, process, config-sans-rows)
-    triple, compiling on first use.
-
-    ``expected_version`` guards against the stale-stats hazard: callers
-    that hold a :class:`~repro.netlist.stats.ModuleStatistics` snapshot
-    across netlist edits (the incremental engine) pass the netlist's
-    current revision, and a snapshot taken at any other revision is
-    rejected with :class:`StaleStatisticsError` instead of silently
-    serving a plan for a netlist that no longer exists.  Snapshots without a version (``stats_version is None``)
-    cannot be validated and are rejected too when a check is requested.
-    """
-    config = config or EstimatorConfig()
-    if expected_version is not None and stats.stats_version != expected_version:
-        raise StaleStatisticsError(
-            f"module {stats.module_name!r}: statistics snapshot is from "
-            f"netlist revision {stats.stats_version!r}, but revision "
-            f"{expected_version} was expected — rescan (or re-snapshot "
-            "the incremental engine) before planning"
-        )
-    backend_name = resolve_backend_name(backend)
-    key = _plan_key(stats, process, config, backend_name)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = compile_plan(stats, process, config, backend_name)
-        _PLAN_CACHE[key] = plan
-    else:
-        _PLAN_COUNTERS["hits"] += 1
-    return plan
-
-
 def _note_evaluation(count: int = 1) -> None:
     _PLAN_COUNTERS["evaluations"] += count
 
@@ -468,18 +437,28 @@ def note_scan_reuse() -> None:
     _PLAN_COUNTERS["scans_reused"] += 1
 
 
+def note_plan_hit() -> None:
+    """Count one held plan served instead of compiled."""
+    _PLAN_COUNTERS["hits"] += 1
+
+
 def plan_cache_stats() -> Dict[str, int]:
-    """Per-process plan statistics: cache hits, compilations (cache
-    misses plus direct :func:`compile_plan` calls), entries, total
-    evaluations (memoized or not), and the hits of each cross-call
-    reuse layer: ``estimate_memo_hits`` (estimates served from a plan's
-    memo), ``price_memo_hits`` (floorplan prices served from a plan's
-    memo) and ``scans_reused`` (``estimate_batch`` scans served from an
+    """Per-process plan statistics: ``hits`` (held plans served instead
+    of compiled, by an ``estimate_batch`` held scan or an incremental
+    engine), ``compilations`` (:func:`compile_plan` calls), ``entries``
+    (plans held beside live held scans), total ``evaluations``
+    (memoized or not), and the hits of each cross-call reuse layer:
+    ``estimate_memo_hits`` (estimates served from a plan's memo),
+    ``price_memo_hits`` (floorplan prices served from a plan's memo)
+    and ``scans_reused`` (``estimate_batch`` scans served from an
     earlier call)."""
+    # One C-level copy of the store's values: a /metrics read never
+    # iterates while the dispatcher files a scan.
+    held = tuple(HELD_SCANS.data.values())
     return {
         "hits": _PLAN_COUNTERS["hits"],
         "compilations": _PLAN_COUNTERS["compilations"],
-        "entries": len(_PLAN_CACHE),
+        "entries": sum(len(scan.plans) for scan in held),
         "evaluations": _PLAN_COUNTERS["evaluations"],
         "estimate_memo_hits": _PLAN_COUNTERS["estimate_memo_hits"],
         "price_memo_hits": _PLAN_COUNTERS["price_memo_hits"],
@@ -488,9 +467,9 @@ def plan_cache_stats() -> Dict[str, int]:
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan, forget every plan's memos and every
-    reusable ``estimate_batch`` scan, and reset the counters."""
-    _PLAN_CACHE.clear()
+    """Start a new reuse generation: forget every held scan with its
+    plans and every plan's memos, and reset the counters."""
+    HELD_SCANS.clear()
     _REUSE["generation"] += 1
     for name in _PLAN_COUNTERS:
         _PLAN_COUNTERS[name] = 0

@@ -7,9 +7,10 @@ estimation without HTTP.  It owns three things:
 **Sessions.**  Each :class:`Session` wraps a live
 :class:`~repro.incremental.IncrementalEstimator`: the client streams
 ECO edits into it (O(affected nets) bookkeeping, revision-stamped) and
-estimates are served from the maintained statistics through the shared
-plan cache.  Per-session state is guarded by a per-session lock; edits
-never block other sessions.
+estimates are served from the maintained statistics through the
+session's own plan, which lives and dies with the session.  Per-session
+state is guarded by a per-session lock; edits never block other
+sessions.
 
 **The coalescing request queue.**  Estimate requests from any number of
 client threads enter one bounded queue (full -> :class:`QueueFullError`,
@@ -24,11 +25,12 @@ bit-identical to a direct
 call — the ``serve_equivalence`` verify gate enforces it.
 
 **The shared cache lifecycle.**  All sessions share one process-wide
-kernel-cache / Stirling-triangle / plan-cache instance.  The
-concurrency invariant that makes this safe without fine-grained locks:
-*only the dispatcher thread evaluates estimates*, so only the
-dispatcher ever touches the shared memo dicts.  Client threads touch
-per-session state under the session lock and read-only snapshots.
+kernel-cache / Stirling-triangle instance and ``estimate_batch``'s
+held scans and plans.  The concurrency invariant that makes this safe
+without fine-grained locks: *only the dispatcher thread evaluates
+estimates*, so only the dispatcher ever touches the shared memo dicts.
+Client threads touch per-session state under the session lock and
+read-only snapshots.
 
 Shutdown is graceful by default: the engine stops accepting work
 (:class:`ServiceClosedError`, HTTP 503), drains every queued request,

@@ -36,7 +36,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import EstimatorConfig, scan_for
 from repro.core.standard_cell import estimate_standard_cell_from_stats
@@ -47,7 +47,7 @@ from repro.netlist.model import Module
 from repro.netlist.writers import write_verilog
 from repro.obs.metrics import latency_percentiles
 from repro.service.engine import EstimationEngine, ServiceConfig
-from repro.service.server import MAEServer, start_server
+from repro.service.server import start_server
 from repro.service.wire import estimate_from_jsonable
 from repro.technology.libraries import builtin_processes
 from repro.verify.corpus import draw_corpus

@@ -11,7 +11,7 @@ Two kinds of checks:
 
 * **Equivalence invariants** compare two computations that must agree
   *bit for bit* (exact ``==`` on every result field, floats included):
-  cached plan vs fresh plan (after the per-net Eq. 2-11 derivation
+  held plan vs fresh plan (after the per-net Eq. 2-11 derivation
   re-assembled the fresh one), caches on vs :func:`caches_disabled`,
   trace-on vs trace-off, incremental vs rescan, numpy vs exact, served
   vs direct.
@@ -59,7 +59,8 @@ from repro.netlist.model import Module
 from repro.obs.explain import explain_standard_cell
 from repro.obs.trace import Tracer, use_tracer
 from repro.perf.kernels import caches_disabled
-from repro.perf.plan import get_plan
+from repro.perf.batch import estimate_batch
+from repro.perf.plan import compile_plan
 from repro.technology.process import ProcessDatabase
 from repro.verify.backend_envelope import (
     DEFAULT_PROBE_ROWS,
@@ -129,9 +130,10 @@ def check_plan_vs_direct(
     :func:`~repro.obs.explain.explain_standard_cell` derives the
     tracks, feed-throughs and Eq. 12 area net by net and refuses
     (:class:`~repro.errors.ObservabilityError`) when they do not
-    re-assemble into the estimate a freshly compiled plan produced;
-    the cached :func:`~repro.perf.plan.get_plan` plan must then serve
-    that estimate field for field.
+    re-assemble into the estimate a freshly compiled plan produced.
+    Two :func:`~repro.perf.batch.estimate_batch` calls must then serve
+    that estimate field for field; the second is served by the plan
+    held beside the module's scan, and by its memo.
     """
     name = "plan_vs_direct"
     config = config or EstimatorConfig()
@@ -142,16 +144,15 @@ def check_plan_vs_direct(
             name, False, f"plan diverges from the per-net derivation ({exc})"
         )
     direct = explanation.estimate
-    planned = get_plan(explanation.stats, process, config).evaluate(
-        config.rows
-    )
-    if _fields(direct) == _fields(planned):
-        return CheckResult(name, True)
-    return CheckResult(
-        name, False,
-        f"cached plan diverges from a fresh one "
-        f"({_mismatch(direct, planned)})",
-    )
+    for call in ("first", "second"):
+        planned = estimate_batch([module], process, config)[0].estimate
+        if _fields(direct) != _fields(planned):
+            return CheckResult(
+                name, False,
+                f"the {call} estimate_batch call diverges from a fresh "
+                f"plan ({_mismatch(direct, planned)})",
+            )
+    return CheckResult(name, True)
 
 
 def check_caches_identity(
@@ -439,8 +440,8 @@ def check_backend_equivalence(
     rows_set = DEFAULT_PROBE_ROWS
     if config.rows is not None and config.rows not in rows_set:
         rows_set = rows_set + (config.rows,)
-    exact_plan = get_plan(stats, process, config, backend="exact")
-    numpy_plan = get_plan(stats, process, config, backend="numpy")
+    exact_plan = compile_plan(stats, process, config, backend="exact")
+    numpy_plan = compile_plan(stats, process, config, backend="numpy")
     divergence = next((
         f"numpy diverges from exact at rows={rows} "
         f"({_mismatch(reference, measured)})"

@@ -297,7 +297,9 @@ _register(_Family(
 
 
 def family_names() -> Tuple[str, ...]:
-    """All registered corpus families, standard-cell first."""
+    """All registered corpus families, sorted by (methodology, name):
+    ``full-custom`` sorts before ``standard-cell``, so the full-custom
+    families come first."""
     return tuple(sorted(
         _FAMILIES,
         key=lambda name: (_FAMILIES[name].methodology, name),

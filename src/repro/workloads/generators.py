@@ -9,13 +9,12 @@ controlling how far back in the netlist a gate draws its inputs.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import NetlistError
 from repro.netlist.builder import NetlistBuilder
-from repro.netlist.model import Device, Module, Port, PortDirection
+from repro.netlist.model import Device, Module, Port
 
 #: Default cell mix for random logic (cell, relative weight).
 DEFAULT_CELL_MIX = (

@@ -21,11 +21,8 @@ from typing import List, Tuple
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.model import Module
 from repro.workloads.generators import (
-    adder_module,
-    counter_module,
     decoder_module,
     expand_to_transistors,
-    mux_tree_module,
     pass_transistor_chain,
     random_gate_module,
 )

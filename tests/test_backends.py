@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.congestion.model import congestion_distribution
 from repro.errors import BackendUnavailableError, EstimationError
 from repro.perf import backends as backends_mod
 from repro.perf.backends import (
@@ -329,6 +330,50 @@ class TestHighFanoutNets:
         total = sum(weights)
         assert row_spread_pmf(components, rows) == tuple(
             weight / total for weight in weights
+        )
+
+
+class TestHighFanoutHistograms:
+    """The whole-histogram kernels on one high-fanout net beside fifty
+    two-component nets: the exact backend answers (the cold call at
+    D = 5000 spends its time growing the Stirling triangle), and the
+    numpy backend agrees with it exactly."""
+
+    POINTS = [
+        (fanout, rows)
+        for fanout in (300, 1000, 2000, 5000)
+        for rows in (4, 16, 64)
+    ]
+    CAPACITY = 16
+
+    @staticmethod
+    def _answers(backend, fanout, rows):
+        histogram = ((2, 50), (fanout, 1))
+        return (
+            [backend.tracks_for_histogram(histogram, rows, mode)
+             for mode in ("paper", "exact")],
+            backend.feedthrough_mean_for_histogram(
+                histogram, rows, "general"
+            ),
+            congestion_distribution(
+                histogram, rows, TestHighFanoutHistograms.CAPACITY,
+                backend=backend.name,
+            ).routability,
+        )
+
+    @pytest.mark.parametrize("fanout, rows", POINTS)
+    def test_exact_kernels_answer(self, fanout, rows):
+        tracks, mean, routability = self._answers(
+            get_backend("exact"), fanout, rows
+        )
+        assert tracks == [(2, min(fanout, rows))] * 2
+        assert 0.0 < mean <= 51
+        assert 0.0 <= routability <= 1.0
+
+    @pytest.mark.parametrize("fanout, rows", POINTS)
+    def test_numpy_agrees_exactly(self, fanout, rows):
+        assert self._answers(numpy_or_skip(), fanout, rows) == (
+            self._answers(get_backend("exact"), fanout, rows)
         )
 
 

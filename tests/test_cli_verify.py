@@ -62,6 +62,29 @@ class TestVerifyCommand:
         ]) == 1
         assert "NOT caught" in capsys.readouterr().err
 
+    def test_named_check_on_no_case_is_an_error(self, capsys):
+        """The corpus draws its full-custom families first, so three
+        seeds give plan_vs_direct no case: a named check that ran on
+        nothing fails instead of reading as passed."""
+        assert main([
+            "verify", "--seeds", "3", "--skip-envelope",
+            "--check", "plan_vs_direct",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "skip plan_vs_direct: no applicable case among 3" in (
+            captured.out
+        )
+        assert "all gates passed" not in captured.out
+        assert "error: --check plan_vs_direct" in captured.err
+
+    def test_injection_names_gates_that_ran_on_no_case(self, capsys):
+        assert main([
+            "verify", "--seeds", "3", "--skip-envelope", "--inject", "1.3",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "plan_vs_direct not run: no applicable case among 3" in err
+        assert "blind" not in err
+
     def test_injection_must_trip_plan_vs_direct(self, tmp_path, monkeypatch,
                                                 capsys):
         """A blind plan_vs_direct fails the self-test even when another

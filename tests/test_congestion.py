@@ -45,7 +45,7 @@ from repro.core.config import EstimatorConfig
 from repro.errors import EstimationError
 from repro.netlist.model import Device, Module, Port
 from repro.netlist.stats import DEFAULT_POWER_NETS, scan_module
-from repro.perf.plan import clear_plan_cache, get_plan
+from repro.perf.plan import clear_plan_cache, compile_plan
 from repro.technology.libraries import nmos_process
 from repro.verify.corpus import draw_corpus, family_names
 
@@ -343,7 +343,7 @@ class TestCapacityResolution:
 
 
 # ----------------------------------------------------------------------
-# plan-cache integration
+# plan integration
 # ----------------------------------------------------------------------
 class TestPlanCongestion:
     def test_plan_memoizes_per_rows_and_capacity(self):
@@ -356,7 +356,7 @@ class TestPlanCongestion:
             device_height=PROCESS.device_height,
             port_width=PROCESS.port_pitch,
         )
-        plan = get_plan(stats, PROCESS, EstimatorConfig())
+        plan = compile_plan(stats, PROCESS, EstimatorConfig())
         first = plan.evaluate_congestion(3)
         assert plan.evaluate_congestion(3) == first
         at_five = plan.evaluate_congestion(3, capacity=5)
@@ -375,7 +375,7 @@ class TestPlanCongestion:
             device_height=PROCESS.device_height,
             port_width=PROCESS.port_pitch,
         )
-        plan = get_plan(stats, PROCESS, EstimatorConfig())
+        plan = compile_plan(stats, PROCESS, EstimatorConfig())
         via_plan = plan.evaluate_congestion(3)
         direct = congestion_distribution(
             stats.net_size_histogram,
@@ -394,7 +394,7 @@ class TestPlanCongestion:
             device_height=PROCESS.device_height,
             port_width=PROCESS.port_pitch,
         )
-        plan = get_plan(stats, PROCESS, EstimatorConfig())
+        plan = compile_plan(stats, PROCESS, EstimatorConfig())
         with pytest.raises(EstimationError, match="row count"):
             plan.evaluate_congestion(0)
 

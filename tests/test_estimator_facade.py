@@ -15,15 +15,17 @@ from repro.workloads.suites import table1_suite, table2_suite
 #: (sha256 prefix of every field but ``cpu_seconds``, standard-cell
 #: area, full-custom exact-area area).  Computed with a facade that
 #: scanned once per methodology, so they pin that sharing one scan
-#: changes no field.
+#: changes no field.  Re-hashed when the statistics lost their revision
+#: stamp (``None`` in every record): the earlier records, hashed without
+#: it, give these digests.
 PINNED = {
-    "t1_full_adder": ("5701aeebaf5a26be", 40392.0, 2435.05),
-    "t1_pass_chain": ("30152eb664e44571", 12838.0, 882.0),
-    "t1_decoder": ("2d9b2c6475793f8f", 30096.0, 2212.5),
-    "t1_latches": ("2a941173ea4272d3", 18432.0, 2162.0),
-    "t1_selector": ("dedd870715035ba7", 47642.0, 3305.75),
-    "t2_control": ("629978ebdcbb5a1d", 291942.6666666667, 58978.13333333333),
-    "t2_datapath": ("bd9bf84e680e41e6", 307849.6666666666, 45604.0),
+    "t1_full_adder": ("22f80a077c07555c", 40392.0, 2435.05),
+    "t1_pass_chain": ("d894ef8be4c8aefc", 12838.0, 882.0),
+    "t1_decoder": ("b300b2f5650dc313", 30096.0, 2212.5),
+    "t1_latches": ("90d0c0b2d24daa7d", 18432.0, 2162.0),
+    "t1_selector": ("7073ad1129cfcf0f", 47642.0, 3305.75),
+    "t2_control": ("0058daafadd315cd", 291942.6666666667, 58978.13333333333),
+    "t2_datapath": ("33061788418f9e41", 307849.6666666666, 45604.0),
 }
 
 

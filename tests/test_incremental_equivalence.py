@@ -117,8 +117,7 @@ class TestBitIdentity:
                 random_mutation(engine.module, rng, config.power_nets)
             )
             assert version == expected
-            assert engine.statistics().stats_version == expected
-            assert engine.rescan().stats_version == expected
+            assert engine.stats_version == expected
 
     @given(spec_index=spec_indices, edit_seed=edit_seeds)
     @settings(max_examples=25)

@@ -13,6 +13,7 @@ Stirling triangle is checked against the independent
 
 from __future__ import annotations
 
+import gc
 import pickle
 
 import pytest
@@ -23,23 +24,29 @@ from repro.core.config import EstimatorConfig
 from repro.core.probability import surjection_count, surjection_count_recurrence
 from repro.core.standard_cell import estimate_standard_cell_from_stats
 from repro.errors import EstimationError
+from repro.floorplan.portfolio import PortfolioConfig, run_portfolio
+from repro.incremental import IncrementalEstimator
+from repro.incremental.editgen import generate_edit_sequence
 from repro.netlist.model import Device, Module, Port, PortDirection
 from repro.netlist.stats import ModuleStatistics
 from repro.obs.explain import explain_standard_cell
 from repro.obs.trace import Tracer, use_tracer
 from repro.perf.backends import get_backend
+from repro.perf.batch import estimate_batch
 from repro.perf.kernels import (
     caches_disabled,
     clear_kernel_caches,
     surjection_triangle_stats,
 )
 from repro.perf.plan import (
+    EstimationPlan,
     clear_plan_cache,
     compile_plan,
-    get_plan,
     plan_cache_stats,
 )
-from repro.technology.libraries import nmos_process
+from repro.technology.libraries import cmos_process, nmos_process
+from repro.workloads.designs import generate_design
+from repro.workloads.generators import random_gate_module
 
 
 def stats_from_histogram(histogram, devices=64, ports=6):
@@ -84,12 +91,17 @@ def module_from_histogram(histogram, devices=64, ports=6):
 def explained(histogram, process, config):
     """The per-net derivation over a module built from ``histogram``
     (it raises unless the terms re-assemble into the plan's estimate),
-    checked to have scanned back to ``histogram``."""
-    explanation = explain_standard_cell(
-        module_from_histogram(histogram), process, config
-    )
+    checked to have scanned back to ``histogram``, and the estimates of
+    two ``estimate_batch`` calls over the same module: the second is
+    served by the plan held beside the module's scan."""
+    module = module_from_histogram(histogram)
+    explanation = explain_standard_cell(module, process, config)
     assert explanation.stats.net_size_histogram == histogram
-    return explanation
+    held = [
+        estimate_batch([module], process, config)[0].estimate
+        for _ in range(2)
+    ]
+    return explanation, held
 
 
 histograms = st.dictionaries(
@@ -103,8 +115,8 @@ histograms = st.dictionaries(
 class TestPlanBitIdentity:
     """The plan against the per-net derivation: ``explain_standard_cell``
     raises when the per-net tracks, feed-throughs or Eq. 12 area do not
-    re-assemble into the estimate a fresh plan produced, and the cached
-    plan must serve that estimate field for field."""
+    re-assemble into the estimate a fresh plan produced, and the plan
+    ``estimate_batch`` holds must serve that estimate field for field."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -121,28 +133,27 @@ class TestPlanBitIdentity:
             row_spread_mode=spread_mode,
             feedthrough_model=feedthrough_model,
         )
-        explanation = explained(histogram, process, config.with_rows(rows))
-        planned = get_plan(explanation.stats, process, config).evaluate(rows)
-        assert planned == explanation.estimate  # every field
+        explanation, held = explained(
+            histogram, process, config.with_rows(rows)
+        )
+        assert held == [explanation.estimate] * 2  # every field
 
     @settings(max_examples=30, deadline=None)
     @given(histogram=histograms)
     def test_plan_matches_with_chosen_rows(self, histogram):
         """rows=None runs the Section 5 algorithm first."""
         process = nmos_process()
-        explanation = explained(histogram, process, EstimatorConfig())
-        planned = get_plan(
-            explanation.stats, process, EstimatorConfig()
-        ).evaluate(None)
-        assert planned == explanation.estimate
+        explanation, held = explained(histogram, process, EstimatorConfig())
+        assert held == [explanation.estimate] * 2
 
     def test_shared_track_model_matches(self, nmos):
         histogram = ((2, 5), (3, 4), (6, 2), (11, 1))
         config = EstimatorConfig(track_model="shared")
         for rows in (1, 2, 3, 5, 9):
-            explanation = explained(histogram, nmos, config.with_rows(rows))
-            planned = get_plan(explanation.stats, nmos, config).evaluate(rows)
-            assert planned == explanation.estimate
+            explanation, held = explained(
+                histogram, nmos, config.with_rows(rows)
+            )
+            assert held == [explanation.estimate] * 2
 
 
 class TestSharedTriangle:
@@ -184,24 +195,34 @@ class TestPlanValidationAndCache:
         with pytest.raises(EstimationError, match="row count"):
             plan.evaluate(0)
 
-    def test_get_plan_caches_per_config_family(self, nmos):
+    def test_held_plans_are_kept_per_config_family(self, nmos):
         clear_plan_cache()
-        stats = stats_from_histogram(((2, 3), (4, 1)))
-        first = get_plan(stats, nmos, EstimatorConfig(rows=2))
+        module = module_from_histogram(((2, 3), (4, 1)))
+
+        def plans(*configs):
+            return [
+                result.plan
+                for result in estimate_batch([module], nmos, list(configs))
+            ]
+
+        first, again = plans(EstimatorConfig(rows=2), EstimatorConfig())
         # Same family: only the row count differs, which is not plan
-        # state, so the compiled plan is reused.
-        second = get_plan(stats, nmos, EstimatorConfig(rows=7))
-        assert second is first
-        other = get_plan(
-            stats, nmos, EstimatorConfig(row_spread_mode="exact")
-        )
+        # state, so the held plan serves every row count, call after
+        # call.
+        assert again is first
+        assert plans(EstimatorConfig(rows=7)) == [first]
+        (other,) = plans(EstimatorConfig(row_spread_mode="exact"))
         assert other is not first
         counters = plan_cache_stats()
         assert counters["compilations"] == 2
-        assert counters["hits"] == 1
+        assert counters["hits"] == 2
         assert counters["entries"] == 2
         clear_plan_cache()
         assert plan_cache_stats()["entries"] == 0
+        (fresh,) = plans(EstimatorConfig(rows=2))
+        assert fresh is not first
+        assert plan_cache_stats()["compilations"] == 1
+        assert plan_cache_stats()["entries"] == 1
 
     def test_plans_are_picklable(self, nmos):
         plan = compile_plan(
@@ -394,3 +415,55 @@ class TestPlanTracing:
             plan_tracer.metrics.counters()
             == direct_tracer.metrics.counters()
         )
+
+
+class TestPlansAreReleased:
+    """A plan lives with its owner: an engine keeps the plan of its
+    current snapshot only, and a dropped module (or design) takes the
+    plans ``estimate_batch`` held for it along."""
+
+    @staticmethod
+    def live_plans(names):
+        """Plans alive in this process whose statistics name a module
+        in ``names`` (``EstimationPlan`` has slots and no weakref)."""
+        gc.collect()
+        return sum(
+            1 for obj in gc.get_objects()
+            if isinstance(obj, EstimationPlan)
+            and obj.stats.module_name in names
+        )
+
+    def test_engine_holds_one_plan_across_edits(self):
+        module = random_gate_module("released_engine", gates=60, inputs=6,
+                                    outputs=3, seed=5)
+        engine = IncrementalEstimator(module, cmos_process())
+        for edit in generate_edit_sequence(module, 200, seed=3):
+            engine.apply(edit)
+            engine.estimate()
+        assert self.live_plans({"released_engine"}) <= 1
+        del engine
+        assert self.live_plans({"released_engine"}) == 0
+
+    def test_dropped_module_takes_its_plans(self, nmos):
+        module = random_gate_module("released_batch", gates=30, inputs=4,
+                                    outputs=2, seed=8)
+        estimate_batch([module], nmos, [
+            EstimatorConfig(), EstimatorConfig(track_model="shared"),
+        ])
+        assert plan_cache_stats()["entries"] >= 2
+        assert self.live_plans({"released_batch"}) == 2
+        del module
+        assert self.live_plans({"released_batch"}) == 0
+
+    def test_dropped_design_takes_its_plans(self):
+        design = generate_design(60, seed=4, name="released_design")
+        names = {leaf.name for leaf in design.leaves}
+        result = run_portfolio(
+            design, cmos_process(),
+            PortfolioConfig(steps=30, seed=2, spot_checks=1,
+                            routability_weight=0.8),
+        )
+        assert self.live_plans(names) == len(names)
+        del design  # the result outlives it and keeps no plan
+        assert self.live_plans(names) == 0
+        assert result.evaluations > 0
