@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "answers 429 (default: 256)")
     serve.add_argument("--coalesce-limit", type=int, default=32,
                        metavar="N",
-                       help="max queued requests one dispatcher drain "
+                       help="max queued requests one drain batch "
                             "serves together (default: 32)")
     serve.add_argument("--timeout", type=float, default=30.0, metavar="S",
                        help="default per-request seconds before a queued "

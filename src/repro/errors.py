@@ -115,8 +115,9 @@ class QueueFullError(ServiceError):
 
 class RequestTimeoutError(ServiceError):
     """An estimate request waited longer than the per-request timeout
-    for the dispatcher to serve it (HTTP 504).  The request is
-    abandoned: its result, if later computed, is discarded."""
+    to be served — parked behind the drain lock or a paused queue
+    (HTTP 504).  The request is abandoned: it leaves the queue, and its
+    result, if a drain already holds it, is discarded."""
 
 
 class ServiceClosedError(ServiceError):

@@ -23,13 +23,15 @@ bit for bit.  The Hypothesis suite in
 Plan reuse
 ----------
 
-The engine keeps the plan of its current snapshot and nothing else.
-:meth:`estimate` reuses that plan while the snapshot's *content*
+The engine keeps two plans: its current snapshot's and the one before
+it.  :meth:`estimate` reuses a plan while the snapshot's *content*
 equals the plan's statistics and the resolved backend is unchanged: an
 edit that cancels out (or only touches power rails) keeps the plan and
-its memos; a real histogram change compiles a fresh plan and drops the
-old one.  The plan dies with the engine (and so with its ``mae serve``
-session).
+its memos, and an edit that returns to the previous state swaps the
+previous plan back in, memos included, so an edit/revert stream
+compiles nothing.  Any other histogram change compiles a fresh plan
+and drops the older of the two.  Both plans die with the engine (and
+so with its ``mae serve`` session).
 
 Observability: ``incremental.apply`` counts edits applied,
 ``incremental.rescan_avoided`` counts estimates served from maintained
@@ -104,8 +106,10 @@ class IncrementalEstimator:
         self._device_height = process.device_height
         self._version = 0
         self._snapshot: Optional[ModuleStatistics] = None
-        #: The plan of the current snapshot's content (see _plan_for).
+        #: The plans of the current and the previous snapshot's content
+        #: (see _plan_for).
         self._plan: Optional[EstimationPlan] = None
+        self._previous_plan: Optional[EstimationPlan] = None
         self._rebuild()
 
     # ------------------------------------------------------------------
@@ -208,8 +212,9 @@ class IncrementalEstimator:
         :meth:`~repro.perf.plan.EstimationPlan.evaluate_rows` — a
         single batched 2-D kernel evaluation under the numpy backend, a
         per-row loop under exact, bit-identical either way.  The
-        service facade coalesces concurrent requests for one session
-        into this call.
+        service facade serves one session's requests in a drain batch
+        (those queued while another thread drained) through this
+        call.
         """
         row_counts = tuple(row_counts)
         if not row_counts:
@@ -232,19 +237,23 @@ class IncrementalEstimator:
 
     def _plan_for(self) -> Tuple[EstimationPlan, bool]:
         """The plan of the current snapshot and whether it was reused:
-        the held plan while its statistics equal the snapshot's content
-        and its backend is the one this engine resolves to now, else a
-        fresh compilation that replaces it."""
+        a held plan (the current one, else the previous one, which then
+        swaps places with it) whose statistics equal the snapshot's
+        content and whose backend is the one this engine resolves to
+        now, else a fresh compilation that becomes the current plan."""
         stats = self.statistics()
         backend_name = resolve_backend_name(self.backend)
-        plan = self._plan
-        if (
-            plan is not None
-            and plan.backend_name == backend_name
-            and (plan.stats is stats or plan.stats == stats)
-        ):
-            note_plan_hit()
-            return plan, True
+        for plan in (self._plan, self._previous_plan):
+            if (
+                plan is not None
+                and plan.backend_name == backend_name
+                and (plan.stats is stats or plan.stats == stats)
+            ):
+                if plan is self._previous_plan:
+                    self._plan, self._previous_plan = plan, self._plan
+                note_plan_hit()
+                return plan, True
+        self._previous_plan = self._plan
         self._plan = compile_plan(
             stats, self.process, self.config, backend_name
         )

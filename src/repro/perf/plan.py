@@ -405,7 +405,8 @@ class HeldScan(NamedTuple):
 #: Module -> its :class:`HeldScan`, filed by ``estimate_batch`` while
 #: reuse is on.  Weakly keyed: a dropped module takes its scan and its
 #: plans with it, in one dict operation on whichever thread drops it,
-#: so the dispatcher thread that fills the store needs no lock.
+#: so the one thread at a time that fills the store (in ``mae serve``,
+#: the holder of the engine's drain lock) needs no lock.
 HELD_SCANS: "weakref.WeakKeyDictionary[Module, HeldScan]" = (
     weakref.WeakKeyDictionary()
 )
@@ -453,7 +454,7 @@ def plan_cache_stats() -> Dict[str, int]:
     and ``scans_reused`` (``estimate_batch`` scans served from an
     earlier call)."""
     # One C-level copy of the store's values: a /metrics read never
-    # iterates while the dispatcher files a scan.
+    # iterates while a draining thread files a scan.
     held = tuple(HELD_SCANS.data.values())
     return {
         "hits": _PLAN_COUNTERS["hits"],

@@ -14,10 +14,13 @@ sessions.
 
 **The coalescing request queue.**  Estimate requests from any number of
 client threads enter one bounded queue (full -> :class:`QueueFullError`,
-the HTTP 429 backpressure signal) and are drained by a **single
-dispatcher thread**.  Each drain takes every queued request (up to
-``coalesce_limit``), groups them by session, and serves each group with
-*one* planning call — multi-row groups go through
+the HTTP 429 backpressure signal).  The submitting thread then takes
+the engine's **drain lock** and serves queued batches itself until its
+own request is answered: an idle engine answers on the caller's thread
+with no hand-off, and requests queued while another thread drains are
+coalesced into that thread's next batch.  A batch takes up to
+``coalesce_limit`` queued requests, groups them by session, and serves
+each group with *one* planning call — multi-row groups go through
 :meth:`~repro.incremental.IncrementalEstimator.estimate_rows`, a single
 batched kernel evaluation under the numpy backend.  Every route is
 bit-identical to a direct
@@ -27,14 +30,15 @@ call — the ``serve_equivalence`` verify gate enforces it.
 **The shared cache lifecycle.**  All sessions share one process-wide
 kernel-cache / Stirling-triangle instance and ``estimate_batch``'s
 held scans and plans.  The concurrency invariant that makes this safe
-without fine-grained locks: *only the dispatcher thread evaluates
-estimates*, so only the dispatcher ever touches the shared memo dicts.
-Client threads touch per-session state under the session lock and
-read-only snapshots.
+without fine-grained locks: *only the thread holding the drain lock
+evaluates*, so one thread at a time touches the shared memo dicts.
+Other threads touch per-session state under the session lock and
+read-only snapshots.  Locks are taken in one order: the drain lock,
+then a session lock, then the queue lock — never the reverse.
 
 Shutdown is graceful by default: the engine stops accepting work
-(:class:`ServiceClosedError`, HTTP 503), drains every queued request,
-then joins the dispatcher.
+(:class:`ServiceClosedError`, HTTP 503), waits out the batch in flight
+and serves every queued request.
 """
 
 from __future__ import annotations
@@ -72,9 +76,9 @@ class ServiceConfig:
 
     ``queue_limit`` bounds the number of *queued* estimate requests
     across all sessions — the backpressure point.  ``coalesce_limit``
-    caps how many of them one dispatcher drain serves together.
+    caps how many of them one drain batch serves together.
     ``request_timeout`` is the default seconds a caller waits for its
-    coalesced result before the request is abandoned (HTTP 504).
+    result before the request is abandoned (HTTP 504).
     """
 
     max_sessions: int = 64
@@ -119,9 +123,9 @@ class Session:
         self.name = name
         self.engine = engine
         self.process = process
-        #: Serializes edits against dispatch: the dispatcher holds this
-        #: while evaluating, so an estimate never sees a half-applied
-        #: edit sequence.
+        #: Serializes edits against evaluation: the draining thread
+        #: holds this while evaluating, so an estimate never sees a
+        #: half-applied edit sequence.
         self.lock = threading.Lock()
         self.created = time.time()
         self.estimates_served = 0
@@ -148,28 +152,31 @@ class Session:
 
 
 class _Request:
-    """One queued unit of dispatcher work.
+    """One queued unit of engine work.
 
     ``kind`` is ``"estimate"`` (session + rows spec, coalescible) or
-    ``"job"`` (an arbitrary callable the caller needs run on the
-    dispatcher thread — the sessionless batch endpoint uses this so
-    *all* shared-cache work stays single-threaded).
+    ``"job"`` (an arbitrary callable the caller needs run under the
+    drain lock — the sessionless batch endpoint uses this so *all*
+    shared-cache work stays one thread at a time).  ``done`` turns
+    true once ``result`` (or ``error``) is final.
     """
 
-    __slots__ = ("kind", "session", "rows", "job", "event", "result",
-                 "error", "version", "abandoned", "enqueued")
+    __slots__ = ("kind", "session", "rows", "job", "done", "result",
+                 "error", "version")
 
     def __init__(self, kind, session=None, rows=None, job=None):
         self.kind = kind
         self.session = session
         self.rows = rows
         self.job = job
-        self.event = threading.Event()
+        self.done = False
         self.result = None
         self.error: Optional[BaseException] = None
         self.version: Optional[int] = None
-        self.abandoned = False
-        self.enqueued = time.perf_counter()
+
+    def fail(self, error: BaseException) -> None:
+        self.error = error
+        self.done = True
 
 
 class EstimationEngine:
@@ -181,19 +188,19 @@ class EstimationEngine:
         self._sessions: Dict[str, Session] = {}
         self._ids = itertools.count(1)
         self._queue: deque = deque()
-        self._cv = threading.Condition()
+        #: Guards the queue, the session registry, the counters and
+        #: ``_closed``; held only for bookkeeping, never while waiting.
+        self._lock = threading.Lock()
+        #: Held by the one thread serving queued batches (see _wait).
+        self._drain_lock = threading.Lock()
         self._closed = False
         self._counts: Dict[str, int] = {}
         self._dispatch_latency = LatencyTracker()
-        #: Test/ops hook: clearing this parks the dispatcher *before*
-        #: each drain, letting callers deterministically fill the queue
-        #: (backpressure and timeout tests rely on it).
+        #: Test/ops hook: clearing this parks the draining thread
+        #: *before* each batch, letting callers deterministically fill
+        #: the queue (backpressure and timeout tests rely on it).
         self._dispatch_gate = threading.Event()
         self._dispatch_gate.set()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="mae-dispatcher", daemon=True
-        )
-        self._dispatcher.start()
 
     # ------------------------------------------------------------------
     # session lifecycle
@@ -216,7 +223,7 @@ class EstimationEngine:
             module, process, config,
             backend=backend if backend is not None else self.config.backend,
         )
-        with self._cv:
+        with self._lock:
             if self._closed:
                 raise ServiceClosedError("engine is shut down")
             if len(self._sessions) >= self.config.max_sessions:
@@ -229,24 +236,24 @@ class EstimationEngine:
                 session_id, name or module.name, estimator, process
             )
             self._sessions[session_id] = session
-            self._count("sessions_created")
+            self._bump("sessions_created")
         return session
 
     def close_session(self, session_id: str) -> dict:
         """Close a session; returns its final descriptor.  Requests
         already queued for it are answered with :class:`SessionError`
-        when the dispatcher reaches them."""
-        with self._cv:
+        when a drain reaches them."""
+        with self._lock:
             session = self._sessions.pop(session_id, None)
             if session is None:
                 raise SessionError(f"unknown session {session_id!r}")
             session.closed = True
-            self._count("sessions_closed")
+            self._bump("sessions_closed")
         return session.info()
 
     def session(self, session_id: str) -> Session:
         """Look a session up; :class:`SessionError` when unknown."""
-        with self._cv:
+        with self._lock:
             session = self._sessions.get(session_id)
         if session is None:
             raise SessionError(f"unknown session {session_id!r}")
@@ -254,7 +261,7 @@ class EstimationEngine:
 
     def list_sessions(self) -> List[dict]:
         """Descriptors of every open session, oldest first."""
-        with self._cv:
+        with self._lock:
             sessions = sorted(
                 self._sessions.values(), key=lambda s: s.session_id
             )
@@ -273,9 +280,10 @@ class EstimationEngine:
 
         ``rows=None`` follows the session config's row policy; an int
         returns one estimate; a sequence returns a tuple of estimates
-        in the same order.  Blocks until the dispatcher serves the
-        (possibly coalesced) request; returns ``(version, result)``
-        where ``version`` is the statistics revision served.
+        in the same order.  Blocks until the request is served — on
+        this thread, or coalesced into another thread's drain — and
+        returns ``(version, result)`` where ``version`` is the
+        statistics revision served.
         """
         session = self.session(session_id)
         rows_key: RowsSpec = rows
@@ -287,11 +295,12 @@ class EstimationEngine:
         return request.version, request.result
 
     def submit_job(self, job, timeout: Optional[float] = None):
-        """Run an arbitrary callable on the dispatcher thread.
+        """Run an arbitrary callable under the drain lock, in queue
+        order with the estimates.
 
         The escape hatch for work that must respect the shared-cache
-        single-thread invariant but is not a session estimate — the
-        server's sessionless ``POST /estimate`` routes its
+        one-thread-at-a-time invariant but is not a session estimate —
+        the server's sessionless ``POST /estimate`` routes its
         ``estimate_batch`` call through here."""
         request = _Request("job", job=job)
         self._submit(request)
@@ -332,7 +341,7 @@ class EstimationEngine:
     def service_stats(self) -> dict:
         """The ``service`` section of ``/metrics``: sessions, queue
         depth, request counters, and dispatch-latency quantiles."""
-        with self._cv:
+        with self._lock:
             counts = dict(sorted(self._counts.items()))
             open_sessions = len(self._sessions)
             depth = len(self._queue)
@@ -361,95 +370,126 @@ class EstimationEngine:
         return snapshot
 
     def shutdown(self, drain: bool = True, timeout: float = 30.0) -> None:
-        """Stop accepting work and bring the dispatcher down.
+        """Stop accepting work and wait out the batch in flight.
 
         ``drain=True`` (the default) serves every already-queued
         request first; ``drain=False`` fails them with
         :class:`ServiceClosedError`.  Idempotent.
         """
-        with self._cv:
+        with self._lock:
             already = self._closed
             self._closed = True
             if not drain:
                 while self._queue:
-                    request = self._queue.popleft()
-                    request.error = ServiceClosedError(
+                    self._queue.popleft().fail(ServiceClosedError(
                         "engine shut down before serving this request"
-                    )
-                    request.event.set()
-            self._cv.notify_all()
+                    ))
         self._dispatch_gate.set()
-        self._dispatcher.join(timeout)
+        if self._drain_lock.acquire(timeout=timeout):
+            try:
+                self._drain(None, time.monotonic() + timeout)
+            finally:
+                self._drain_lock.release()
         if not already:
             self._count("shutdowns")
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _bump(self, name: str, value: int = 1) -> None:
+        """Add to a request counter; the caller holds ``_lock``."""
+        self._counts[name] = self._counts.get(name, 0) + value
+
     def _count(self, name: str, value: int = 1) -> None:
-        with self._cv:
-            self._counts[name] = self._counts.get(name, 0) + value
+        with self._lock:
+            self._bump(name, value)
 
     def _submit(self, request: _Request) -> None:
-        with self._cv:
+        with self._lock:
             if self._closed:
                 raise ServiceClosedError("engine is shutting down")
             if len(self._queue) >= self.config.queue_limit:
-                self._counts["rejected"] = self._counts.get(
-                    "rejected", 0
-                ) + 1
+                self._bump("rejected")
                 raise QueueFullError(
                     f"request queue is full "
                     f"({self.config.queue_limit} pending requests)"
                 )
             self._queue.append(request)
-            self._counts["submitted"] = self._counts.get("submitted", 0) + 1
-            self._cv.notify()
+            self._bump("submitted")
 
     def _wait(self, request: _Request, timeout: Optional[float]) -> None:
-        deadline = timeout if timeout is not None else (
-            self.config.request_timeout
+        """Serve the queue on this thread until ``request`` is answered.
+
+        The thread takes the drain lock and drains (:meth:`_drain`); a
+        thread that finds another one draining blocks on the lock, and
+        finds its request answered when it gets the lock if that drain
+        served it.  Every queued request has its submitter doing this
+        until the request is answered or abandoned, so no queue is left
+        without a thread to serve it.
+        """
+        seconds = min(
+            timeout if timeout is not None else self.config.request_timeout,
+            threading.TIMEOUT_MAX,
         )
-        if not request.event.wait(deadline):
-            request.abandoned = True
-            self._count("timeouts")
+        deadline = time.monotonic() + seconds
+        while not request.done:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._drain_lock.acquire(
+                timeout=remaining
+            ):
+                break
+            try:
+                self._drain(request, deadline)
+            finally:
+                self._drain_lock.release()
+        if not request.done:
+            # Abandoned: it leaves the queue (unless a drain holds it
+            # already, which then serves it to no one).
+            with self._lock:
+                if request in self._queue:
+                    self._queue.remove(request)
+                self._bump("timeouts")
             raise RequestTimeoutError(
-                f"request not served within {deadline:g}s "
-                "(abandoned; the queue is saturated or a dispatch "
-                "is long-running)"
+                f"request not served within {seconds:g}s (abandoned; the "
+                "queue is saturated or a drain is long-running)"
             )
         if request.error is not None:
             raise request.error
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            self._dispatch_gate.wait()
-            with self._cv:
-                while not self._queue and not self._closed:
-                    self._cv.wait()
-                if not self._queue and self._closed:
+    def _drain(self, request: Optional[_Request], deadline: float) -> None:
+        """Serve queued batches, with the drain lock held, until
+        ``request`` is answered (``None``: until the queue is empty) or
+        ``deadline`` (a :func:`time.monotonic` time) passes."""
+        while request is None or not request.done:
+            if not self._dispatch_gate.is_set():
+                # Parked: wait for the gate, then look again — a
+                # shutdown may have answered the request meanwhile.
+                if not self._dispatch_gate.wait(
+                    max(0.0, deadline - time.monotonic())
+                ):
                     return
-                if not self._dispatch_gate.is_set() and not self._closed:
-                    # The gate was cleared while we were parked in
-                    # cv.wait(); re-park on the gate without draining so
-                    # clearing it is a deterministic pause.
-                    continue
-                batch: List[_Request] = []
-                while self._queue and len(batch) < self.config.coalesce_limit:
-                    batch.append(self._queue.popleft())
+                continue
+            with self._lock:
+                batch = [
+                    self._queue.popleft() for _ in range(
+                        min(len(self._queue), self.config.coalesce_limit)
+                    )
+                ]
+            if not batch:
+                return
             start = time.perf_counter()
             try:
                 self._serve_batch(batch)
-            except BaseException as exc:  # keep the dispatcher alive
-                for request in batch:
-                    if not request.event.is_set():
-                        request.error = ServiceError(
-                            f"dispatch failed: {exc}"
-                        )
-                        request.event.set()
-            seconds = time.perf_counter() - start
-            self._dispatch_latency.observe(seconds)
+            finally:
+                for queued in batch:
+                    if not queued.done:
+                        queued.fail(ServiceError(
+                            "dispatch failed before serving this request"
+                        ))
+            self._dispatch_latency.observe(time.perf_counter() - start)
             self._count("dispatch_batches")
+            if time.monotonic() >= deadline:
+                return
 
     def _serve_batch(self, batch: List[_Request]) -> None:
         """Serve one drained batch: jobs serially, estimates grouped
@@ -461,7 +501,7 @@ class EstimationEngine:
                     request.result = request.job()
                 except BaseException as exc:
                     request.error = exc
-                request.event.set()
+                request.done = True
                 self._count("jobs_served")
             else:
                 estimates.append(request)
@@ -471,11 +511,10 @@ class EstimationEngine:
         for request in estimates:
             session = request.session
             if session.closed:
-                request.error = SessionError(
+                request.fail(SessionError(
                     f"session {session.session_id!r} was closed before "
                     "this request was served"
-                )
-                request.event.set()
+                ))
                 continue
             groups.setdefault(
                 session.session_id, (session, [])
@@ -492,9 +531,8 @@ class EstimationEngine:
                 self._serve_group(session, requests)
             except BaseException as exc:
                 for request in requests:
-                    if not request.event.is_set():
-                        request.error = exc
-                        request.event.set()
+                    if not request.done:
+                        request.fail(exc)
 
     @staticmethod
     def _row_keys(requests: List[_Request]) -> List[Union[None, int]]:
@@ -528,7 +566,7 @@ class EstimationEngine:
                 request.result = served[request.rows]
                 count += 1
             request.version = version
-            request.event.set()
+            request.done = True
         return count
 
     def _serve_group(self, session: Session, requests: List[_Request]) -> None:

@@ -14,8 +14,8 @@ sample point the mirror equals the server's live module, and the
 response can be checked **bit-identical** against a direct
 :func:`~repro.core.standard_cell.estimate_standard_cell_from_stats`
 call on the mirror's scan.  Those checks are deferred until the load
-finishes: during the run only the engine's dispatcher thread touches
-the shared kernel caches (the concurrency invariant of
+finishes: during the run only the thread holding the engine's drain
+lock touches the shared kernel caches (the concurrency invariant of
 ``docs/ARCHITECTURE.md``), so the verifier must not race it.
 
 ``python -m repro.service.loadtest`` is the CI smoke entry point: it
@@ -270,7 +270,7 @@ def run_load(
     elapsed = time.perf_counter() - start
 
     # Deferred bit-identity verification: the load is over, so direct
-    # kernel evaluation no longer races the dispatcher thread.
+    # kernel evaluation no longer races a draining handler thread.
     process = _PROCESSES[tech]
     config = EstimatorConfig()
     verified = 0

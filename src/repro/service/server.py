@@ -3,9 +3,10 @@
 One :class:`MAEServer` wraps one :class:`~repro.service.engine
 .EstimationEngine` behind ``http.server.ThreadingHTTPServer`` — no
 third-party dependency, matching the package's zero-dependency runtime.
-Handler threads do only cheap work (JSON codec, netlist parsing, edit
-application under the session lock); every shared-cache estimate
-evaluation rides the engine's single dispatcher thread, preserving the
+Handler threads run the JSON codec, netlist parsing and edit
+application under the session lock; a handler thread evaluates an
+estimate only while it holds the engine's drain lock (an idle engine
+serves a request on its own handler thread), preserving the
 concurrency invariant documented in ``docs/ARCHITECTURE.md``.
 
 The route table below is the server's public contract;
@@ -15,17 +16,29 @@ The route table below is the server's public contract;
 Status mapping (see :mod:`repro.errors`):
 
 * 400 — malformed JSON, unparseable netlist, bad config/edits, a
-  malformed ``Content-Length``, or a body that ends before it
+  malformed ``Content-Length``, or a body that ends before it; in the
+  request head, a malformed request line or header line (no colon,
+  whitespace before the colon, an obs-fold continuation) or two
+  ``Content-Length`` fields that disagree
 * 404 — unknown route or unknown session
 * 408 — the request body did not arrive within
   :data:`BODY_READ_TIMEOUT_S`
 * 409 — session limit reached
 * 411 — a chunked request body (send ``Content-Length``)
 * 413 — the declared body exceeds :data:`MAX_BODY_BYTES`
+* 431 — a header line over :data:`MAX_HEADER_LINE` bytes, or more than
+  :data:`MAX_HEADERS` header lines
 * 429 — backpressure: the bounded request queue (or the in-flight
   request limiter) is full; retry with backoff
 * 503 — the engine is draining for shutdown
 * 504 — the per-request timeout expired before dispatch
+* 505 — an HTTP version of 2.0 or above
+
+The request line is checked as ``http.server`` checks it (a line
+without a version is answered as HTTP/1.0, with a status line); the
+header block is read by :func:`read_headers`, a plain line reader, not
+the stdlib's ``email.feedparser`` (~30 µs a head).  Errors in the head
+are answered by ``send_error`` and close the connection.
 
 Connections persist (HTTP/1.1 keep-alive): every reply leaves in one
 write on a ``TCP_NODELAY`` socket, so a kept-alive client never waits
@@ -39,6 +52,8 @@ truncated or stalled body, or an in-flight 429) carries
 from __future__ import annotations
 
 import json
+import math
+import re
 import socket
 import threading
 import time
@@ -186,6 +201,58 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: never cut.
 BODY_READ_TIMEOUT_S = 10.0
 
+#: Request-head limits, the stdlib's (``http.client``): a longer
+#: header line, or more header lines, gets 431.
+MAX_HEADER_LINE = 65536
+MAX_HEADERS = 100
+
+#: A header field name is an RFC 9110 token: no whitespace, no colon.
+_FIELD_NAME = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+
+
+class RequestHeaders(dict):
+    """A request's header fields by lower-cased name.  ``get`` and
+    ``in`` ignore case, and the first occurrence of a name wins, as in
+    the stdlib's ``email.message.Message``."""
+
+    __slots__ = ()
+
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
+
+    def __contains__(self, name) -> bool:
+        return dict.__contains__(self, name.lower())
+
+
+def read_headers(rfile) -> RequestHeaders:
+    """Read a request's header block, up to its blank line (or EOF).
+
+    Raises 431 for a line over :data:`MAX_HEADER_LINE` bytes or more
+    than :data:`MAX_HEADERS` header lines, and 400 for a line that is
+    not ``name: value`` (no colon, whitespace before the colon, an
+    obs-fold continuation) or for ``Content-Length`` fields that
+    disagree: RFC 9112 has a server reject all three, since an
+    intermediary that reads them otherwise would frame the body
+    differently (request smuggling).
+    """
+    headers = RequestHeaders()
+    for _ in range(MAX_HEADERS + 1):
+        line = rfile.readline(MAX_HEADER_LINE + 1)
+        if len(line) > MAX_HEADER_LINE:
+            raise _HTTPFail(431, "Line too long")
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, colon, value = line.partition(b":")
+        if not colon or not _FIELD_NAME.fullmatch(name):
+            raise _HTTPFail(400, f"Bad header line ({line[:64]!r})")
+        key = name.decode("ascii").lower()
+        value = value.strip().decode("iso-8859-1")
+        first = headers.setdefault(key, value)
+        if key == "content-length" and first != value:
+            raise _HTTPFail(400, "Conflicting Content-Length headers")
+    raise _HTTPFail(431, f"Too many headers (more than {MAX_HEADERS})")
+
+
 #: How often the accept loop checks for :meth:`MAEServer.stop` (the
 #: stdlib default of 0.5 s makes every stop wait out up to half a
 #: second; new connections wake the loop immediately either way).
@@ -300,6 +367,9 @@ def _make_handler(server: MAEServer):
     class Handler(BaseHTTPRequestHandler):
         server_version = "mae-serve/1"
         protocol_version = "HTTP/1.1"
+        # Error replies to a request line without a version carry a
+        # status line too (an HTTP/0.9 reply would be the bare body).
+        default_request_version = "HTTP/1.0"
         # TCP_NODELAY: a reply never waits for the client's delayed ACK
         # of the previous segment on a kept-alive connection.
         disable_nagle_algorithm = True
@@ -307,6 +377,74 @@ def _make_handler(server: MAEServer):
         # silence per-request stderr logging; metrics carry the signal
         def log_message(self, format, *args):  # noqa: A002
             pass
+
+        def parse_request(self) -> bool:
+            """The stdlib's ``parse_request`` with :func:`read_headers`
+            for the header block: the same request-line checks (400,
+            505) and ``Connection`` / ``Expect: 100-continue``
+            handling.  Returns False once an error reply is sent."""
+            self.command = None
+            self.request_version = self.default_request_version
+            self.close_connection = True
+            requestline = str(self.raw_requestline, "iso-8859-1")
+            requestline = requestline.rstrip("\r\n")
+            self.requestline = requestline
+            words = requestline.split()
+            if not words:
+                return False
+            if len(words) >= 3:
+                version = words[-1]
+                try:
+                    if not version.startswith("HTTP/"):
+                        raise ValueError
+                    base = version.split("/", 1)[1]
+                    parts = base.split(".")
+                    if len(parts) != 2 or not all(
+                        part.isdigit() and len(part) <= 10 for part in parts
+                    ):
+                        raise ValueError
+                    number = int(parts[0]), int(parts[1])
+                except ValueError:
+                    self.send_error(
+                        400, f"Bad request version ({version!r})"
+                    )
+                    return False
+                if number >= (1, 1):
+                    self.close_connection = False
+                if number >= (2, 0):
+                    self.send_error(505, f"Invalid HTTP version ({base})")
+                    return False
+                self.request_version = version
+            if not 2 <= len(words) <= 3:
+                self.send_error(400, f"Bad request syntax ({requestline!r})")
+                return False
+            command, path = words[:2]
+            if len(words) == 2:
+                self.close_connection = True
+                if command != "GET":
+                    self.send_error(
+                        400, f"Bad HTTP/0.9 request type ({command!r})"
+                    )
+                    return False
+            self.command = command
+            # gh-87389: '//' would read as a scheme-relative URL.
+            self.path = (
+                "/" + path.lstrip("/") if path.startswith("//") else path
+            )
+            try:
+                self.headers = read_headers(self.rfile)
+            except _HTTPFail as exc:
+                self.send_error(exc.status, exc.message)
+                return False
+            connection = self.headers.get("Connection", "").lower()
+            if connection == "close":
+                self.close_connection = True
+            elif connection == "keep-alive":
+                self.close_connection = False
+            if (self.headers.get("Expect", "").lower() == "100-continue"
+                    and self.request_version >= "HTTP/1.1"):
+                return self.handle_expect_100()
+            return True
 
         def do_GET(self) -> None:
             self._route("GET")
@@ -646,7 +784,7 @@ def _timeout(body: dict) -> Optional[float]:
     if timeout is None:
         return None
     if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) \
-            or timeout <= 0:
+            or not 0 < timeout < math.inf:
         raise _HTTPFail(400, "'timeout' must be a positive number")
     return float(timeout)
 

@@ -27,6 +27,7 @@ from repro.errors import EstimationError
 from repro.floorplan.portfolio import PortfolioConfig, run_portfolio
 from repro.incremental import IncrementalEstimator
 from repro.incremental.editgen import generate_edit_sequence
+from repro.incremental.mutations import AddDevice, RemoveDevice
 from repro.netlist.model import Device, Module, Port, PortDirection
 from repro.netlist.stats import ModuleStatistics
 from repro.obs.explain import explain_standard_cell
@@ -418,9 +419,9 @@ class TestPlanTracing:
 
 
 class TestPlansAreReleased:
-    """A plan lives with its owner: an engine keeps the plan of its
-    current snapshot only, and a dropped module (or design) takes the
-    plans ``estimate_batch`` held for it along."""
+    """A plan lives with its owner: an engine keeps the plans of its
+    current and previous snapshots only, and a dropped module (or
+    design) takes the plans ``estimate_batch`` held for it along."""
 
     @staticmethod
     def live_plans(names):
@@ -433,16 +434,40 @@ class TestPlansAreReleased:
             and obj.stats.module_name in names
         )
 
-    def test_engine_holds_one_plan_across_edits(self):
+    def test_engine_holds_at_most_two_plans_across_edits(self):
         module = random_gate_module("released_engine", gates=60, inputs=6,
                                     outputs=3, seed=5)
         engine = IncrementalEstimator(module, cmos_process())
         for edit in generate_edit_sequence(module, 200, seed=3):
             engine.apply(edit)
             engine.estimate()
-        assert self.live_plans({"released_engine"}) <= 1
+        assert self.live_plans({"released_engine"}) <= 2
         del engine
         assert self.live_plans({"released_engine"}) == 0
+
+    def test_edit_revert_stream_compiles_no_plan_on_the_second_revert(
+        self,
+    ):
+        """An edit and its revert swap the engine's two plans: returning
+        to either state reuses that state's plan."""
+        module = random_gate_module("reverted_engine", gates=40, inputs=5,
+                                    outputs=3, seed=6)
+        engine = IncrementalEstimator(module, cmos_process())
+        first, second = (net.name for net in module.nets[:2])
+        forward = AddDevice.make("eco_extra", module.devices[0].cell,
+                                 {"a": first, "y": second})
+        backward = RemoveDevice("eco_extra")
+        original = engine.estimate()
+        compiled = []
+        served = []
+        for edit in (forward, backward, forward, backward):
+            engine.apply(edit)
+            before = plan_cache_stats()["compilations"]
+            served.append(engine.estimate())
+            compiled.append(plan_cache_stats()["compilations"] - before)
+        assert compiled == [1, 0, 0, 0]
+        assert served[1] == served[3] == original
+        assert served[0] == served[2] != original
 
     def test_dropped_module_takes_its_plans(self, nmos):
         module = random_gate_module("released_batch", gates=30, inputs=4,

@@ -1,14 +1,17 @@
 """Tests for the estimation-engine facade (:mod:`repro.service.engine`).
 
 The load-bearing guarantees: every estimate served through the
-sessions/queue/dispatcher machinery is bit-identical to the direct
-estimator call on the same module state; the bounded queue answers
-backpressure and timeouts deterministically; and shutdown drains
-in-flight work instead of dropping it.
+sessions/queue/drain-lock machinery is bit-identical to the direct
+estimator call on the same module state; only one thread at a time
+evaluates; the bounded queue answers backpressure and timeouts
+deterministically; and shutdown drains in-flight work instead of
+dropping it.
 """
 
 import dataclasses
+import sys
 import threading
+import time
 
 import pytest
 
@@ -373,9 +376,11 @@ class TestMetrics:
                     "backend", "service"):
             assert key in snapshot
 
-    def test_submit_job_runs_on_dispatcher(self, engine):
+    def test_submit_job_runs_on_the_submitting_thread(self, engine):
+        """An idle engine serves a request on the thread that submitted
+        it: no hand-off to another thread."""
         name = engine.submit_job(lambda: threading.current_thread().name)
-        assert name == "mae-dispatcher"
+        assert name == threading.current_thread().name
 
     def test_submit_job_propagates_errors(self, engine):
         def boom():
@@ -383,3 +388,196 @@ class TestMetrics:
 
         with pytest.raises(ValueError, match="nope"):
             engine.submit_job(boom)
+
+
+class _ConcurrencyProbe:
+    """Wraps evaluation entry points and records how many threads are
+    inside any of them at once."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+        self.calls = 0
+
+    def __call__(self, function):
+        def probed(*args, **kwargs):
+            with self.lock:
+                self.active += 1
+                self.calls += 1
+                self.peak = max(self.peak, self.active)
+            try:
+                time.sleep(0.0005)  # a window another evaluator would hit
+                return function(*args, **kwargs)
+            finally:
+                with self.lock:
+                    self.active -= 1
+        return probed
+
+
+def _join_all(threads, timeout=30.0):
+    for thread in threads:
+        thread.join(timeout)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def _wait_for(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.005)
+
+
+class TestDrainLock:
+    """Submitting threads serve the queue themselves, one at a time."""
+
+    def test_jobs_and_estimates_never_evaluate_concurrently(self, nmos):
+        engine = EstimationEngine(ServiceConfig(queue_limit=64))
+        probe = _ConcurrencyProbe()
+        modules = [
+            random_gate_module(f"svc_probe_{i}", gates=30 + 5 * i,
+                               inputs=5, outputs=3, seed=40 + i)
+            for i in range(4)
+        ]
+        sessions = [engine.create_session(m, nmos) for m in modules]
+        for session in sessions:
+            session.engine.estimate = probe(session.engine.estimate)
+            session.engine.estimate_rows = probe(
+                session.engine.estimate_rows
+            )
+        served = {}
+        errors = []
+
+        def work(slot):
+            session = sessions[slot % len(sessions)]
+            try:
+                for step in range(12):
+                    if step % 3 == 0:
+                        engine.submit_job(probe(lambda: None))
+                    elif step % 3 == 1:
+                        served[(slot, step)] = (
+                            session, None,
+                            engine.estimate(session.session_id)[1],
+                        )
+                    else:
+                        served[(slot, step)] = (
+                            session, (2, 3),
+                            engine.estimate(session.session_id,
+                                            rows=[2, 3])[1],
+                        )
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(slot,))
+                       for slot in range(8)]
+            for thread in threads:
+                thread.start()
+            _join_all(threads)
+        finally:
+            sys.setswitchinterval(interval)
+            engine.shutdown()
+        assert not errors
+        # Same-session requests in one batch share a planning call, so
+        # the probe sees at most one call per request.
+        assert len(served) == 8 * 8 and 8 * 4 < probe.calls <= 8 * 12
+        assert probe.peak == 1
+        by_module = {s.session_id: m for s, m in zip(sessions, modules)}
+        for session, rows, result in served.values():
+            module = by_module[session.session_id]
+            if rows is None:
+                direct = estimate_standard_cell(module, nmos,
+                                                EstimatorConfig())
+                assert _fields(result) == _fields(direct)
+            else:
+                for row, estimate in zip(rows, result):
+                    direct = estimate_standard_cell(
+                        module, nmos, EstimatorConfig(rows=row)
+                    )
+                    assert _fields(estimate) == _fields(direct)
+
+    def test_a_timed_out_request_strands_no_queue(self, module, nmos):
+        """Of three parked requests, the first (which holds the drain
+        lock, waiting on the gate) times out and leaves the queue; the
+        other two are served once the gate opens."""
+        engine = EstimationEngine(ServiceConfig())
+        try:
+            session = engine.create_session(module, nmos)
+            engine._dispatch_gate.clear()
+            outcomes = {}
+
+            def work(name, timeout):
+                try:
+                    outcomes[name] = engine.estimate(
+                        session.session_id, timeout=timeout
+                    )[1]
+                except RequestTimeoutError as exc:
+                    outcomes[name] = exc
+
+            short = threading.Thread(target=work, args=("short", 1.0))
+            longs = [
+                threading.Thread(target=work, args=(name, 30.0))
+                for name in ("first", "second")
+            ]
+            short.start()
+            _wait_for(lambda: len(engine._queue) == 1)
+            for thread in longs:
+                thread.start()
+            _join_all([short])
+            assert isinstance(outcomes["short"], RequestTimeoutError)
+            _wait_for(lambda: len(engine._queue) == 2)
+            engine._dispatch_gate.set()
+            _join_all(longs)
+            direct = estimate_standard_cell(module, nmos, EstimatorConfig())
+            for name in ("first", "second"):
+                assert _fields(outcomes[name]) == _fields(direct)
+            stats = engine.service_stats()
+            assert stats["queue"]["depth"] == 0
+            assert stats["requests"]["timeouts"] == 1
+        finally:
+            engine._dispatch_gate.set()
+            engine.shutdown()
+
+    def test_shutdown_during_another_drain_serves_every_queued_request(
+        self, module, nmos
+    ):
+        engine = EstimationEngine(ServiceConfig())
+        session = engine.create_session(module, nmos)
+        entered = threading.Event()
+        release = threading.Event()
+        outcomes = {}
+
+        def blocking_job():
+            entered.set()
+            assert release.wait(10)
+            return "job"
+
+        def run_job():
+            outcomes["job"] = engine.submit_job(blocking_job)
+
+        def work(rows):
+            outcomes[rows] = engine.estimate(session.session_id, rows=rows)
+
+        drainer = threading.Thread(target=run_job)
+        drainer.start()
+        assert entered.wait(5)  # the drainer is inside its job
+        waiters = [threading.Thread(target=work, args=(rows,))
+                   for rows in (2, 3, 4)]
+        for thread in waiters:
+            thread.start()
+        _wait_for(lambda: len(engine._queue) == 3)
+        stopper = threading.Thread(target=engine.shutdown)
+        stopper.start()
+        _wait_for(lambda: not engine.service_stats()["accepting"])
+        release.set()
+        _join_all([drainer, stopper] + waiters)
+        assert outcomes["job"] == "job"
+        for rows in (2, 3, 4):
+            version, served = outcomes[rows]
+            direct = estimate_standard_cell(
+                module, nmos, EstimatorConfig(rows=rows)
+            )
+            assert version == 0 and _fields(served) == _fields(direct)
+        assert engine.service_stats()["queue"]["depth"] == 0

@@ -3,14 +3,16 @@
 A full client walkthrough over a live ephemeral-port server: session
 lifecycle, bit-identical estimates over the wire, ECO edit streaming,
 the sessionless batch endpoint, the error-status contract
-(400/404/405/408/409/411/413/429/503/504), persistent connections and
-bounded request bodies, metrics, and the drain-on-shutdown endpoint.
-Also the direct test of the ``serve_equivalence`` verify check.
+(400/404/405/408/409/411/413/429/431/503/504/505), request heads down
+to raw bytes, persistent connections and bounded request bodies,
+metrics, and the drain-on-shutdown endpoint.  Also the direct test of
+the ``serve_equivalence`` verify check.
 """
 
 import dataclasses
 import http.client
 import json
+import re
 import socket
 import statistics
 import time
@@ -18,6 +20,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.config import EstimatorConfig
 from repro.core.standard_cell import estimate_standard_cell
@@ -357,6 +361,19 @@ class TestErrorContract:
         finally:
             server.engine._dispatch_gate.set()
 
+    @pytest.mark.parametrize("timeout, expected", [
+        (1e300, 200), (float("inf"), 400), (float("nan"), 400), (0, 400),
+    ])
+    def test_timeout_field(self, server, module, timeout, expected):
+        """A huge timeout waits as long as the platform allows; a
+        non-finite or non-positive one is refused."""
+        sid = create_session(server, module)["session"]
+        status, body = request(
+            server.base_url, "POST", f"/sessions/{sid}/estimate",
+            {"timeout": timeout},
+        )
+        assert status == expected, body
+
     def test_inflight_limit_429(self, module):
         server = start_server(
             EstimationEngine(ServiceConfig()), max_inflight=1
@@ -593,6 +610,178 @@ class TestBoundedBodies:
             server.stop(drain=True)
             assert server.stopped
             assert time.perf_counter() - started < 5.0
+
+
+#: One reply's status line and header block.
+_REPLY_HEAD = re.compile(
+    rb"HTTP/1\.[01] ([1-5][0-9][0-9]) [^\r\n]*\r\n((?:[^\r\n]+\r\n)*)\r\n"
+)
+_CONTENT_LENGTH = re.compile(rb"(?im)^content-length: *([0-9]+)\r$")
+
+
+def reply_statuses(data):
+    """The statuses of a byte stream of replies, each of which must be
+    a well-formed status line and header block plus its
+    ``Content-Length`` of body."""
+    statuses = []
+    while data:
+        head = _REPLY_HEAD.match(data)
+        assert head, f"malformed reply: {data[:120]!r}"
+        length = _CONTENT_LENGTH.search(head.group(2))
+        statuses.append(int(head.group(1)))
+        data = data[head.end() + (int(length.group(1)) if length else 0):]
+    return statuses
+
+
+def replies_to(server, data, shutdown_write=False):
+    """Send raw bytes on a fresh socket and read until the server
+    closes it (a server that keeps it open fails the read's timeout);
+    with ``shutdown_write`` the client half-closes after sending, so a
+    declared body reads EOF at once."""
+    with socket.create_connection((server.host, server.port),
+                                  timeout=15) as sock:
+        sock.sendall(data)
+        if shutdown_write:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def raw_head(*lines, request_line=b"GET /health HTTP/1.1"):
+    return b"\r\n".join((request_line,) + lines) + b"\r\n\r\n"
+
+
+class TestRequestHead:
+    """The request line keeps the stdlib's checks; the header block is
+    read by ``read_headers``, which answers every malformed or
+    oversized head with a typed status and a closed connection."""
+
+    @pytest.fixture(scope="class")
+    def head_server(self):
+        server = start_server(EstimationEngine(ServiceConfig()))
+        yield server
+        server.stop(drain=True)
+
+    @pytest.mark.parametrize("data, expected", [
+        (b"GET\r\n\r\n", 400),
+        (b"GET /health extra HTTP/1.1\r\n\r\n", 400),
+        (b"GET /health HTTP/1.x\r\n\r\n", 400),
+        (b"GET /health HTTP/2.0\r\n\r\n", 505),
+        (raw_head(b"Host mae"), 400),
+        (raw_head(b"Host : mae"), 400),
+        (raw_head(b"X-Note: one", b" two"), 400),
+        (raw_head(b"Content-Length: 2", b"Content-Length: 3",
+                      request_line=b"POST /estimate HTTP/1.1") + b"{}", 400),
+        (raw_head(b"X-Big: " + b"a" * (65537 - 9)), 431),
+        (raw_head(*(b"X-%d: v" % i for i in range(101))), 431),
+    ], ids=["one-word-line", "four-word-line", "bad-version",
+            "http-2", "no-colon", "space-before-colon", "obs-fold",
+            "conflicting-lengths", "65537-byte-line", "101-headers"])
+    def test_malformed_head_gets_its_status_and_a_close(
+        self, head_server, data, expected
+    ):
+        assert reply_statuses(replies_to(head_server, data)) == [expected]
+
+    @pytest.mark.parametrize("data", [
+        raw_head(b"X-Big: " + b"a" * (65536 - 9)),
+        raw_head(*(b"X-%d: v" % i for i in range(100))),
+        raw_head(b"Content-Length: 2", b"content-length:  2") + b"{}",
+        raw_head(b"HOST:mae", b"X-Tab:\tv\t"),
+    ], ids=["65536-byte-line", "100-headers", "agreeing-lengths",
+            "case-and-whitespace"])
+    def test_heads_at_the_limits_are_served(self, head_server, data):
+        assert reply_statuses(
+            replies_to(head_server, data, shutdown_write=True)
+        ) == [200]
+
+    def test_expect_100_continue(self, head_server, module):
+        sid = create_session(head_server, module)["session"]
+        with socket.create_connection(
+            (head_server.host, head_server.port), timeout=15
+        ) as sock:
+            sock.sendall(raw_head(
+                b"Host: mae", b"Expect: 100-continue", b"Content-Length: 2",
+                request_line=f"POST /sessions/{sid}/estimate "
+                             "HTTP/1.1".encode(),
+            ))
+            reader = sock.makefile("rb")
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reader.readline() == b"\r\n"
+            sock.sendall(b"{}")
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 200
+            assert json.loads(response.read())["session"] == sid
+
+    @pytest.mark.parametrize("data, closes", [
+        (b"GET /health HTTP/1.0\r\n\r\n", True),
+        (raw_head(b"Connection: close"), True),
+        (raw_head(b"Connection: keep-alive"), False),
+        (raw_head(b"Connection: Keep-Alive",
+                      request_line=b"GET /health HTTP/1.0"), False),
+    ], ids=["http-1.0", "close", "keep-alive", "http-1.0-keep-alive"])
+    def test_connection_header(self, head_server, data, closes):
+        with socket.create_connection(
+            (head_server.host, head_server.port), timeout=15
+        ) as sock:
+            sock.sendall(data)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 200
+            response.read()
+            if closes:
+                assert sock.recv(1) == b""
+            else:
+                sock.sendall(raw_head())
+                second = http.client.HTTPResponse(sock)
+                second.begin()
+                assert second.status == 200
+
+    @given(st.one_of(
+        st.binary(max_size=160),
+        st.builds(
+            lambda line, fields, tail: b"\r\n".join([line] + fields) + tail,
+            st.builds(
+                b" ".join,
+                st.tuples(
+                    st.sampled_from([b"GET", b"POST", b"DELETE", b"PUT"]),
+                    st.sampled_from([b"/health", b"/metrics", b"/sessions",
+                                     b"/estimate", b"//health",
+                                     b"/sessions/s000001/edits"]),
+                    st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2.0",
+                                     b"HTTP/1.10", b"HTTP/01.1"]),
+                ),
+            ),
+            st.lists(st.one_of(
+                st.binary(max_size=40),
+                st.sampled_from([
+                    b"Content-Length: 2", b"Content-Length: 9",
+                    b"Content-Length: x", b"Connection: close",
+                    b"Expect: 100-continue", b"Transfer-Encoding: chunked",
+                    b" folded", b"Host : mae", b"Host",
+                ]),
+            ), max_size=6),
+            st.sampled_from([b"\r\n\r\n", b"\r\n\r\n{}", b"\n\n", b""]),
+        ),
+    ))
+    def test_arbitrary_heads_get_a_status_or_a_close(self, head_server, data):
+        """Any head bytes: every reply is a well-formed status line and
+        never a 500 (or the server just closes), and the server goes on
+        serving new connections."""
+        statuses = reply_statuses(
+            replies_to(head_server, data, shutdown_write=True)
+        )
+        assert 500 not in statuses
+        status, body = request(head_server.base_url, "GET", "/health")
+        assert status == 200 and body["status"] == "ok"
 
 
 class TestShutdownEndpoint:
