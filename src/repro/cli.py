@@ -309,15 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="open-session limit; exceeding it answers "
                             "409 (default: 64)")
     serve.add_argument("--queue-limit", type=int, default=256, metavar="N",
-                       help="bounded estimate-queue depth; a full queue "
-                            "answers 429 (default: 256)")
-    serve.add_argument("--coalesce-limit", type=int, default=32,
-                       metavar="N",
-                       help="max queued requests one drain batch "
-                            "serves together (default: 32)")
+                       help="most requests waiting for the engine "
+                            "lock; one more answers 429 (default: 256)")
     serve.add_argument("--timeout", type=float, default=30.0, metavar="S",
-                       help="default per-request seconds before a queued "
-                            "estimate is abandoned with 504 "
+                       help="default per-request seconds before a "
+                            "waiting request is abandoned with 504 "
                             "(default: 30; bodies may override)")
     serve.add_argument("--max-inflight", type=int, default=128, metavar="N",
                        help="concurrently handled HTTP requests before "
@@ -908,7 +904,6 @@ def _cmd_serve(args) -> None:
     engine = EstimationEngine(ServiceConfig(
         max_sessions=args.max_sessions,
         queue_limit=args.queue_limit,
-        coalesce_limit=args.coalesce_limit,
         request_timeout=args.timeout,
     ))
     server = MAEServer(

@@ -8,6 +8,8 @@ scan under a config's scan signature: every estimator scans through it.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -33,6 +35,38 @@ FEEDTHROUGH_MODELS = ("two-component", "general")
 #: analytic expected-density model of repro.core.sharing, implementing
 #: the paper's Section 7 future work.
 TRACK_MODELS = ("upper-bound", "shared")
+
+#: Largest row count an estimate takes.  No layout comes near it, and
+#: it bounds the numpy backend's log-factorial table (one float per
+#: row) and keeps every row count within float range.
+ROW_COUNT_LIMIT = 10_000
+
+
+#: The numeric fields of :class:`EstimatorConfig` and their kinds, and
+#: those of them that may be ``None``.
+_NUMERIC_FIELDS = (
+    ("rows", numbers.Integral), ("max_rows", numbers.Integral),
+    ("track_sharing_factor", numbers.Real),
+    ("congestion_margin", numbers.Real),
+    ("port_pitch_override", numbers.Real), ("max_aspect", numbers.Real),
+)
+_OPTIONAL_FIELDS = ("rows", "port_pitch_override")
+
+
+def _require_number(name: str, value, kind) -> None:
+    """:class:`EstimationError` unless ``value`` is a finite number of
+    ``kind`` (``numbers.Integral`` or ``numbers.Real``); a ``bool`` is
+    not a number here, a NumPy scalar is."""
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, kind)
+              and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        noun = "integer" if kind is numbers.Integral else "number"
+        raise EstimationError(
+            f"{name} must be a finite {noun}, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -91,10 +125,18 @@ class EstimatorConfig:
     max_aspect: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.rows is not None and self.rows < 1:
-            raise EstimationError(f"rows must be >= 1, got {self.rows}")
-        if self.max_rows < 1:
-            raise EstimationError(f"max_rows must be >= 1, got {self.max_rows}")
+        # Types first, so the range checks below compare numbers (a
+        # JSON body may carry 2.5, true, NaN or Infinity anywhere).
+        for name, kind in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if value is not None or name not in _OPTIONAL_FIELDS:
+                _require_number(name, value, kind)
+        for name in ("rows", "max_rows"):
+            value = getattr(self, name)
+            if value is not None and not 1 <= value <= ROW_COUNT_LIMIT:
+                raise EstimationError(
+                    f"{name} must be in 1..{ROW_COUNT_LIMIT}, got {value}"
+                )
         if self.row_spread_mode not in ("paper", "exact"):
             raise EstimationError(
                 f"unknown row_spread_mode {self.row_spread_mode!r}"

@@ -24,7 +24,7 @@ from repro.core.config import EstimatorConfig, scan_for
 from repro.core.full_custom import estimate_full_custom_both
 from repro.core.results import ModuleEstimate
 from repro.core.standard_cell import estimate_standard_cell_from_stats
-from repro.errors import EstimationError
+from repro.errors import EstimationError, NetlistError
 from repro.netlist.model import Module
 from repro.netlist.spice import parse_spice
 from repro.technology.process import ProcessDatabase
@@ -61,7 +61,12 @@ class ModuleAreaEstimator:
         flat module.
         """
         path = Path(path)
-        text = path.read_text()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise NetlistError(
+                f"cannot read schematic {str(path)!r}: {exc}"
+            ) from None
         suffix = path.suffix.lower()
         if suffix in (".v", ".sv", ".vh"):
             from repro.netlist.hierarchy import flatten_source

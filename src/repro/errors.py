@@ -109,15 +109,15 @@ class SessionError(ServiceError):
 
 
 class QueueFullError(ServiceError):
-    """The engine's bounded request queue is full — the backpressure
-    signal (HTTP 429).  Clients should retry with backoff."""
+    """The engine already has ``queue_limit`` requests waiting for its
+    lock — the backpressure signal (HTTP 429).  Clients should retry
+    with backoff."""
 
 
 class RequestTimeoutError(ServiceError):
-    """An estimate request waited longer than the per-request timeout
-    to be served — parked behind the drain lock or a paused queue
-    (HTTP 504).  The request is abandoned: it leaves the queue, and its
-    result, if a drain already holds it, is discarded."""
+    """A request waited longer than its per-request timeout for the
+    engine lock (HTTP 504).  The request is abandoned: it is never
+    evaluated."""
 
 
 class ServiceClosedError(ServiceError):

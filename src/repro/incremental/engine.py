@@ -212,9 +212,8 @@ class IncrementalEstimator:
         :meth:`~repro.perf.plan.EstimationPlan.evaluate_rows` — a
         single batched 2-D kernel evaluation under the numpy backend, a
         per-row loop under exact, bit-identical either way.  The
-        service facade serves one session's requests in a drain batch
-        (those queued while another thread drained) through this
-        call.
+        service facade serves an estimate request with row counts
+        through one such call over its distinct row counts.
         """
         row_counts = tuple(row_counts)
         if not row_counts:

@@ -167,7 +167,7 @@ def mutation_from_dict(record: Any) -> Mutation:
     if not isinstance(record, dict):
         raise MutationError(f"edit must be an object, got {type(record).__name__}")
     op = record.get("op")
-    cls = MUTATION_KINDS.get(op)
+    cls = MUTATION_KINDS.get(op) if isinstance(op, str) else None
     if cls is None:
         raise MutationError(
             f"unknown edit op {op!r} (expected one of "
@@ -182,6 +182,11 @@ def mutation_from_dict(record: Any) -> Mutation:
         value = record[spec.name]
         if spec.name in ("pins", "endpoints"):
             value = _pair_tuple(op, spec.name, value)
+        elif spec.type == "str" and not isinstance(value, str):
+            raise MutationError(
+                f"edit op {op!r}: {spec.name} must be a string, got "
+                f"{type(value).__name__}"
+            )
         kwargs[spec.name] = value
     extra = set(record) - {"op"} - {spec.name for spec in fields(cls)}
     if extra:

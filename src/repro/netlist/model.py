@@ -18,6 +18,8 @@ module and handing the results to the floor planner.
 from __future__ import annotations
 
 import enum
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -65,6 +67,11 @@ class PinConnection:
     pin: str
 
 
+#: Largest device dimension accepted: the largest float, so every
+#: dimension converts to a finite float.
+_MAX_DIMENSION = sys.float_info.max
+
+
 @dataclass(frozen=True)
 class Device:
     """An instance of a library cell or a transistor.
@@ -93,9 +100,13 @@ class Device:
             raise NetlistError(f"device {self.name!r}: cell type must be non-empty")
         for dim_name, dim in (("width_lambda", self.width_lambda),
                               ("height_lambda", self.height_lambda)):
-            if dim is not None and dim <= 0:
+            if dim is not None and (
+                isinstance(dim, bool) or not isinstance(dim, numbers.Real)
+                or not 0 < dim <= _MAX_DIMENSION
+            ):
                 raise NetlistError(
-                    f"device {self.name!r}: {dim_name} must be positive, got {dim}"
+                    f"device {self.name!r}: {dim_name} must be positive "
+                    f"and finite, got {dim!r}"
                 )
 
     @property

@@ -48,7 +48,7 @@ import math
 import weakref
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from repro.core.config import EstimatorConfig
+from repro.core.config import ROW_COUNT_LIMIT, EstimatorConfig
 from repro.core.probability import expected_feedthroughs
 from repro.core.results import StandardCellEstimate
 from repro.core.standard_cell import choose_initial_rows
@@ -60,6 +60,13 @@ from repro.perf.backends import get_backend, resolve_backend_name
 from repro.perf.kernels import cache_enabled, central_feedthrough_probability
 from repro.technology.process import ProcessDatabase
 from repro.units import round_up
+
+
+def _check_rows(rows) -> None:
+    if rows is None or not 1 <= rows <= ROW_COUNT_LIMIT:
+        raise EstimationError(
+            f"row count must be in 1..{ROW_COUNT_LIMIT}, got {rows}"
+        )
 
 
 class EstimationPlan:
@@ -179,10 +186,7 @@ class EstimationPlan:
         with tracer.span("plan.evaluate") as span:
             if rows is None:
                 rows = choose_initial_rows(self.stats, self.process, config)
-            if rows < 1:
-                raise EstimationError(
-                    f"row count must be >= 1, got {rows}"
-                )
+            _check_rows(rows)
 
             per_size = get_backend(self.backend_name).tracks_for_histogram(
                 self.histogram, rows, config.row_spread_mode
@@ -212,10 +216,7 @@ class EstimationPlan:
             return tuple(self.evaluate(rows) for rows in row_counts)
         config = self.config
         for rows in row_counts:
-            if rows is None or rows < 1:
-                raise EstimationError(
-                    f"row count must be >= 1, got {rows}"
-                )
+            _check_rows(rows)
         tracer = current_tracer()
         memo = self._memo(tracer)
         todo = row_counts if memo is None else tuple(
@@ -266,8 +267,7 @@ class EstimationPlan:
             resolve_channel_capacity,
         )
 
-        if rows is None or rows < 1:
-            raise EstimationError(f"row count must be >= 1, got {rows}")
+        _check_rows(rows)
         resolved, _ = resolve_channel_capacity(self.process, capacity)
         return congestion_distribution(
             self.histogram,
@@ -406,7 +406,7 @@ class HeldScan(NamedTuple):
 #: reuse is on.  Weakly keyed: a dropped module takes its scan and its
 #: plans with it, in one dict operation on whichever thread drops it,
 #: so the one thread at a time that fills the store (in ``mae serve``,
-#: the holder of the engine's drain lock) needs no lock.
+#: the holder of the engine lock) needs no lock.
 HELD_SCANS: "weakref.WeakKeyDictionary[Module, HeldScan]" = (
     weakref.WeakKeyDictionary()
 )
@@ -454,7 +454,7 @@ def plan_cache_stats() -> Dict[str, int]:
     and ``scans_reused`` (``estimate_batch`` scans served from an
     earlier call)."""
     # One C-level copy of the store's values: a /metrics read never
-    # iterates while a draining thread files a scan.
+    # iterates while the engine-lock holder files a scan.
     held = tuple(HELD_SCANS.data.values())
     return {
         "hits": _PLAN_COUNTERS["hits"],

@@ -3,11 +3,12 @@
 This package turns the estimator into a long-lived multi-tenant
 service.  :class:`~repro.service.engine.EstimationEngine` is the
 transport-agnostic facade — sessions wrap live
-:class:`~repro.incremental.IncrementalEstimator` instances, a bounded
-request queue coalesces concurrent estimates into batched dispatches,
-and one shared plan-cache / Stirling-triangle / disk-cache lifecycle
-spans all sessions.  :class:`~repro.service.server.MAEServer` exposes
-the facade over stdlib HTTP+JSON (``mae serve``);
+:class:`~repro.incremental.IncrementalEstimator` instances, each
+request is evaluated on its caller's thread under one engine lock
+(with bounded admission in front of it), and one shared kernel-cache /
+Stirling-triangle lifecycle spans all sessions.
+:class:`~repro.service.server.MAEServer` exposes the facade over stdlib
+HTTP+JSON (``mae serve``);
 :mod:`~repro.service.wire` defines the bit-exact estimate codec; and
 :mod:`~repro.service.loadtest` drives a live server with verify-corpus
 traffic for CI smoke and the bench serve phase.

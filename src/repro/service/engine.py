@@ -1,4 +1,4 @@
-"""The estimation-engine facade: sessions, coalescing queue, lifecycle.
+"""The estimation-engine facade: sessions, the engine lock, lifecycle.
 
 :class:`EstimationEngine` is the reusable core behind ``mae serve`` —
 the piece a CAD-flow embedder uses directly when it wants multi-tenant
@@ -12,33 +12,32 @@ session's own plan, which lives and dies with the session.  Per-session
 state is guarded by a per-session lock; edits never block other
 sessions.
 
-**The coalescing request queue.**  Estimate requests from any number of
-client threads enter one bounded queue (full -> :class:`QueueFullError`,
-the HTTP 429 backpressure signal).  The submitting thread then takes
-the engine's **drain lock** and serves queued batches itself until its
-own request is answered: an idle engine answers on the caller's thread
-with no hand-off, and requests queued while another thread drains are
-coalesced into that thread's next batch.  A batch takes up to
-``coalesce_limit`` queued requests, groups them by session, and serves
-each group with *one* planning call — multi-row groups go through
-:meth:`~repro.incremental.IncrementalEstimator.estimate_rows`, a single
-batched kernel evaluation under the numpy backend.  Every route is
-bit-identical to a direct
+**The engine lock.**  A request from any client thread is first
+admitted: at most ``queue_limit`` requests may wait for the engine
+lock at once (one more -> :class:`QueueFullError`, the HTTP 429
+backpressure signal).  The thread then takes the **engine lock**
+within the request's timeout (:class:`RequestTimeoutError`, HTTP 504,
+when it runs out) and evaluates the request itself: ``estimate()`` for
+the session config's row policy, otherwise one
+:meth:`~repro.incremental.IncrementalEstimator.estimate_rows` over the
+request's distinct row counts, a single batched kernel evaluation
+under the numpy backend.  No thread hands work to another.  Every
+route is bit-identical to a direct
 :func:`~repro.core.standard_cell.estimate_standard_cell_from_stats`
 call — the ``serve_equivalence`` verify gate enforces it.
 
 **The shared cache lifecycle.**  All sessions share one process-wide
 kernel-cache / Stirling-triangle instance and ``estimate_batch``'s
 held scans and plans.  The concurrency invariant that makes this safe
-without fine-grained locks: *only the thread holding the drain lock
+without fine-grained locks: *only the thread holding the engine lock
 evaluates*, so one thread at a time touches the shared memo dicts.
 Other threads touch per-session state under the session lock and
-read-only snapshots.  Locks are taken in one order: the drain lock,
-then a session lock, then the queue lock — never the reverse.
+read-only snapshots.  Locks are taken in one order: the engine lock,
+then a session lock, then the bookkeeping lock — never the reverse.
 
 Shutdown is graceful by default: the engine stops accepting work
-(:class:`ServiceClosedError`, HTTP 503), waits out the batch in flight
-and serves every queued request.
+(:class:`ServiceClosedError`, HTTP 503) and waits until every admitted
+request has been served.
 """
 
 from __future__ import annotations
@@ -46,12 +45,10 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.config import EstimatorConfig
-from repro.core.results import StandardCellEstimate
 from repro.errors import (
     QueueFullError,
     RequestTimeoutError,
@@ -74,16 +71,14 @@ RowsSpec = Union[None, int, Sequence[int]]
 class ServiceConfig:
     """Tuning knobs of one :class:`EstimationEngine`.
 
-    ``queue_limit`` bounds the number of *queued* estimate requests
-    across all sessions — the backpressure point.  ``coalesce_limit``
-    caps how many of them one drain batch serves together.
-    ``request_timeout`` is the default seconds a caller waits for its
-    result before the request is abandoned (HTTP 504).
+    ``queue_limit`` bounds the number of requests waiting for the
+    engine lock across all sessions — the backpressure point.
+    ``request_timeout`` is the default seconds a caller waits for the
+    engine lock before the request is abandoned (HTTP 504).
     """
 
     max_sessions: int = 64
     queue_limit: int = 256
-    coalesce_limit: int = 32
     request_timeout: float = 30.0
     backend: Optional[str] = None
 
@@ -95,10 +90,6 @@ class ServiceConfig:
         if self.queue_limit < 1:
             raise ServiceError(
                 f"queue_limit must be >= 1, got {self.queue_limit}"
-            )
-        if self.coalesce_limit < 1:
-            raise ServiceError(
-                f"coalesce_limit must be >= 1, got {self.coalesce_limit}"
             )
         if self.request_timeout <= 0:
             raise ServiceError(
@@ -123,9 +114,9 @@ class Session:
         self.name = name
         self.engine = engine
         self.process = process
-        #: Serializes edits against evaluation: the draining thread
-        #: holds this while evaluating, so an estimate never sees a
-        #: half-applied edit sequence.
+        #: Serializes edits against evaluation: the thread holding the
+        #: engine lock holds this while evaluating, so an estimate never
+        #: sees a half-applied edit sequence.
         self.lock = threading.Lock()
         self.created = time.time()
         self.estimates_served = 0
@@ -151,34 +142,6 @@ class Session:
         }
 
 
-class _Request:
-    """One queued unit of engine work.
-
-    ``kind`` is ``"estimate"`` (session + rows spec, coalescible) or
-    ``"job"`` (an arbitrary callable the caller needs run under the
-    drain lock — the sessionless batch endpoint uses this so *all*
-    shared-cache work stays one thread at a time).  ``done`` turns
-    true once ``result`` (or ``error``) is final.
-    """
-
-    __slots__ = ("kind", "session", "rows", "job", "done", "result",
-                 "error", "version")
-
-    def __init__(self, kind, session=None, rows=None, job=None):
-        self.kind = kind
-        self.session = session
-        self.rows = rows
-        self.job = job
-        self.done = False
-        self.result = None
-        self.error: Optional[BaseException] = None
-        self.version: Optional[int] = None
-
-    def fail(self, error: BaseException) -> None:
-        self.error = error
-        self.done = True
-
-
 class EstimationEngine:
     """The multi-tenant facade.  See the module docstring for the
     concurrency model; see :class:`ServiceConfig` for the knobs."""
@@ -187,20 +150,21 @@ class EstimationEngine:
         self.config = config or ServiceConfig()
         self._sessions: Dict[str, Session] = {}
         self._ids = itertools.count(1)
-        self._queue: deque = deque()
-        #: Guards the queue, the session registry, the counters and
-        #: ``_closed``; held only for bookkeeping, never while waiting.
+        #: Guards the session registry, the counters, ``_waiting`` and
+        #: the shutdown flags; held only for bookkeeping.
         self._lock = threading.Lock()
-        #: Held by the one thread serving queued batches (see _wait).
-        self._drain_lock = threading.Lock()
+        #: Held by the one thread that evaluates (see :meth:`_run`).
+        self._engine_lock = threading.Lock()
+        #: Signalled, once the engine is closed, when the last waiting
+        #: request takes the engine lock or gives up.
+        self._idle = threading.Condition(self._lock)
+        #: Requests admitted but not yet holding the engine lock.
+        self._waiting = 0
         self._closed = False
+        #: Set by ``shutdown(drain=False)``: waiting requests fail.
+        self._abandoned = False
         self._counts: Dict[str, int] = {}
         self._dispatch_latency = LatencyTracker()
-        #: Test/ops hook: clearing this parks the draining thread
-        #: *before* each batch, letting callers deterministically fill
-        #: the queue (backpressure and timeout tests rely on it).
-        self._dispatch_gate = threading.Event()
-        self._dispatch_gate.set()
 
     # ------------------------------------------------------------------
     # session lifecycle
@@ -241,8 +205,8 @@ class EstimationEngine:
 
     def close_session(self, session_id: str) -> dict:
         """Close a session; returns its final descriptor.  Requests
-        already queued for it are answered with :class:`SessionError`
-        when a drain reaches them."""
+        still waiting for it are answered with :class:`SessionError`
+        when they get the engine lock."""
         with self._lock:
             session = self._sessions.pop(session_id, None)
             if session is None:
@@ -280,32 +244,32 @@ class EstimationEngine:
 
         ``rows=None`` follows the session config's row policy; an int
         returns one estimate; a sequence returns a tuple of estimates
-        in the same order.  Blocks until the request is served — on
-        this thread, or coalesced into another thread's drain — and
-        returns ``(version, result)`` where ``version`` is the
-        statistics revision served.
+        in the same order.  Blocks until this thread has taken the
+        engine lock and evaluated the request, and returns
+        ``(version, result)`` where ``version`` is the statistics
+        revision served.
         """
         session = self.session(session_id)
-        rows_key: RowsSpec = rows
-        if rows_key is not None and not isinstance(rows_key, int):
-            rows_key = tuple(int(r) for r in rows_key)
-        request = _Request("estimate", session=session, rows=rows_key)
-        self._submit(request)
-        self._wait(request, timeout)
-        return request.version, request.result
+        if rows is not None and not isinstance(rows, int):
+            rows = tuple(int(r) for r in rows)
+        return self._run(lambda: self._serve(session, rows), timeout)
 
-    def submit_job(self, job, timeout: Optional[float] = None):
-        """Run an arbitrary callable under the drain lock, in queue
-        order with the estimates.
+    def submit_job(self, job: Callable, timeout: Optional[float] = None):
+        """Run an arbitrary callable under the engine lock, admitted
+        and timed out like an estimate.
 
         The escape hatch for work that must respect the shared-cache
         one-thread-at-a-time invariant but is not a session estimate —
         the server's sessionless ``POST /estimate`` routes its
-        ``estimate_batch`` call through here."""
-        request = _Request("job", job=job)
-        self._submit(request)
-        self._wait(request, timeout)
-        return request.result
+        ``estimate_batch`` call through here.  ``jobs_served`` counts
+        every job that ran, including one that raised."""
+        def counted():
+            try:
+                return job()
+            finally:
+                self._count("jobs_served")
+
+        return self._run(counted, timeout)
 
     def apply_edits(
         self,
@@ -318,9 +282,9 @@ class EstimationEngine:
         """Apply an ECO edit sequence, optionally re-estimating.
 
         The edits go straight into the session's delta engine under the
-        session lock (O(affected nets), no queue round-trip); the
-        re-estimate then rides the normal coalescing path.  Returns
-        ``(version, result)`` — ``result`` is ``None`` when
+        session lock (O(affected nets), no engine lock); the
+        re-estimate then takes the engine lock like any estimate.
+        Returns ``(version, result)`` — ``result`` is ``None`` when
         ``estimate=False``.
         """
         session = self.session(session_id)
@@ -339,23 +303,20 @@ class EstimationEngine:
     # metrics and shutdown
     # ------------------------------------------------------------------
     def service_stats(self) -> dict:
-        """The ``service`` section of ``/metrics``: sessions, queue
-        depth, request counters, and dispatch-latency quantiles."""
+        """The ``service`` section of ``/metrics``: sessions, requests
+        waiting for the engine lock, request counters, and
+        dispatch-latency quantiles (seconds a request held the lock)."""
         with self._lock:
             counts = dict(sorted(self._counts.items()))
             open_sessions = len(self._sessions)
-            depth = len(self._queue)
+            depth = self._waiting
             closed = self._closed
         return {
             "sessions": {
                 "open": open_sessions,
                 "limit": self.config.max_sessions,
             },
-            "queue": {
-                "depth": depth,
-                "limit": self.config.queue_limit,
-                "coalesce_limit": self.config.coalesce_limit,
-            },
+            "queue": {"depth": depth, "limit": self.config.queue_limit},
             "requests": counts,
             "latency": {"dispatch": self._dispatch_latency.summary()},
             "accepting": not closed,
@@ -370,28 +331,24 @@ class EstimationEngine:
         return snapshot
 
     def shutdown(self, drain: bool = True, timeout: float = 30.0) -> None:
-        """Stop accepting work and wait out the batch in flight.
+        """Stop accepting work and wait, within ``timeout`` seconds,
+        until no request is waiting or running.
 
-        ``drain=True`` (the default) serves every already-queued
-        request first; ``drain=False`` fails them with
-        :class:`ServiceClosedError`.  Idempotent.
+        ``drain=True`` (the default) serves every waiting request;
+        ``drain=False`` fails each with :class:`ServiceClosedError` as
+        it takes the engine lock.  Idempotent.
         """
+        deadline = time.monotonic() + timeout
         with self._lock:
-            already = self._closed
+            if not self._closed:
+                self._bump("shutdowns")
             self._closed = True
-            if not drain:
-                while self._queue:
-                    self._queue.popleft().fail(ServiceClosedError(
-                        "engine shut down before serving this request"
-                    ))
-        self._dispatch_gate.set()
-        if self._drain_lock.acquire(timeout=timeout):
-            try:
-                self._drain(None, time.monotonic() + timeout)
-            finally:
-                self._drain_lock.release()
-        if not already:
-            self._count("shutdowns")
+            self._abandoned = self._abandoned or not drain
+            self._idle.wait_for(lambda: not self._waiting, timeout)
+        if self._engine_lock.acquire(
+            timeout=max(0.0, deadline - time.monotonic())
+        ):
+            self._engine_lock.release()
 
     # ------------------------------------------------------------------
     # internals
@@ -404,185 +361,78 @@ class EstimationEngine:
         with self._lock:
             self._bump(name, value)
 
-    def _submit(self, request: _Request) -> None:
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("engine is shutting down")
-            if len(self._queue) >= self.config.queue_limit:
-                self._bump("rejected")
-                raise QueueFullError(
-                    f"request queue is full "
-                    f"({self.config.queue_limit} pending requests)"
-                )
-            self._queue.append(request)
-            self._bump("submitted")
-
-    def _wait(self, request: _Request, timeout: Optional[float]) -> None:
-        """Serve the queue on this thread until ``request`` is answered.
-
-        The thread takes the drain lock and drains (:meth:`_drain`); a
-        thread that finds another one draining blocks on the lock, and
-        finds its request answered when it gets the lock if that drain
-        served it.  Every queued request has its submitter doing this
-        until the request is answered or abandoned, so no queue is left
-        without a thread to serve it.
-        """
+    def _run(self, work: Callable, timeout: Optional[float]):
+        """Admit a request, take the engine lock within ``timeout``
+        seconds (the config's default when ``None``; a timeout that is
+        not positive, NaN included, runs out at once) and run ``work``
+        on this thread."""
         seconds = min(
             timeout if timeout is not None else self.config.request_timeout,
             threading.TIMEOUT_MAX,
         )
-        deadline = time.monotonic() + seconds
-        while not request.done:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not self._drain_lock.acquire(
-                timeout=remaining
-            ):
-                break
-            try:
-                self._drain(request, deadline)
-            finally:
-                self._drain_lock.release()
-        if not request.done:
-            # Abandoned: it leaves the queue (unless a drain holds it
-            # already, which then serves it to no one).
-            with self._lock:
-                if request in self._queue:
-                    self._queue.remove(request)
-                self._bump("timeouts")
-            raise RequestTimeoutError(
-                f"request not served within {seconds:g}s (abandoned; the "
-                "queue is saturated or a drain is long-running)"
+        with self._lock:
+            if self._closed:
+                raise ServiceClosedError("engine is shutting down")
+            if self._waiting >= self.config.queue_limit:
+                self._bump("rejected")
+                raise QueueFullError(
+                    f"request queue is full "
+                    f"({self.config.queue_limit} waiting requests)"
+                )
+            self._waiting += 1
+            self._bump("submitted")
+        acquired = False
+        try:
+            # ``acquire`` would wait forever on -1 and reject NaN.
+            acquired = seconds > 0 and self._engine_lock.acquire(
+                timeout=seconds
             )
-        if request.error is not None:
-            raise request.error
-
-    def _drain(self, request: Optional[_Request], deadline: float) -> None:
-        """Serve queued batches, with the drain lock held, until
-        ``request`` is answered (``None``: until the queue is empty) or
-        ``deadline`` (a :func:`time.monotonic` time) passes."""
-        while request is None or not request.done:
-            if not self._dispatch_gate.is_set():
-                # Parked: wait for the gate, then look again — a
-                # shutdown may have answered the request meanwhile.
-                if not self._dispatch_gate.wait(
-                    max(0.0, deadline - time.monotonic())
-                ):
-                    return
-                continue
+        finally:
             with self._lock:
-                batch = [
-                    self._queue.popleft() for _ in range(
-                        min(len(self._queue), self.config.coalesce_limit)
-                    )
-                ]
-            if not batch:
-                return
+                self._waiting -= 1
+                if self._closed and not self._waiting:
+                    self._idle.notify_all()
+                if not acquired:
+                    self._bump("timeouts")
+                abandoned = self._abandoned
+        if not acquired:
+            raise RequestTimeoutError(
+                f"request not served within {seconds:g}s (abandoned; "
+                "the engine is saturated or an evaluation is long-running)"
+            )
+        try:
+            if abandoned:
+                raise ServiceClosedError(
+                    "engine shut down before serving this request"
+                )
             start = time.perf_counter()
             try:
-                self._serve_batch(batch)
+                return work()
             finally:
-                for queued in batch:
-                    if not queued.done:
-                        queued.fail(ServiceError(
-                            "dispatch failed before serving this request"
-                        ))
-            self._dispatch_latency.observe(time.perf_counter() - start)
-            self._count("dispatch_batches")
-            if time.monotonic() >= deadline:
-                return
+                self._dispatch_latency.observe(time.perf_counter() - start)
+        finally:
+            self._engine_lock.release()
 
-    def _serve_batch(self, batch: List[_Request]) -> None:
-        """Serve one drained batch: jobs serially, estimates grouped
-        by session."""
-        estimates: List[_Request] = []
-        for request in batch:
-            if request.kind == "job":
-                try:
-                    request.result = request.job()
-                except BaseException as exc:
-                    request.error = exc
-                request.done = True
-                self._count("jobs_served")
-            else:
-                estimates.append(request)
-        if not estimates:
-            return
-        groups: Dict[str, Tuple[Session, List[_Request]]] = {}
-        for request in estimates:
-            session = request.session
+    def _serve(self, session: Session, rows: RowsSpec):
+        """Evaluate one estimate request; the caller holds the engine
+        lock.  Returns ``(version, result)``."""
+        with session.lock:
             if session.closed:
-                request.fail(SessionError(
+                raise SessionError(
                     f"session {session.session_id!r} was closed before "
                     "this request was served"
-                ))
-                continue
-            groups.setdefault(
-                session.session_id, (session, [])
-            )[1].append(request)
-        group_list = [groups[key] for key in sorted(groups)]
-        if len(group_list) > 1:
-            self._count("coalesced_dispatches")
-            self._count(
-                "coalesced_requests",
-                sum(len(requests) for _, requests in group_list),
-            )
-        for session, requests in group_list:
-            try:
-                self._serve_group(session, requests)
-            except BaseException as exc:
-                for request in requests:
-                    if not request.done:
-                        request.fail(exc)
-
-    @staticmethod
-    def _row_keys(requests: List[_Request]) -> List[Union[None, int]]:
-        """Ordered unique single-row keys a request group needs."""
-        keys: List[Union[None, int]] = []
-        seen = set()
-        for request in requests:
-            spec = request.rows
-            parts = spec if isinstance(spec, tuple) else (spec,)
-            for key in parts:
-                if key not in seen:
-                    seen.add(key)
-                    keys.append(key)
-        return keys
-
-    @staticmethod
-    def _finish(
-        requests: List[_Request],
-        served: Dict[Union[None, int], StandardCellEstimate],
-        version: int,
-    ) -> int:
-        """Assign each request its result(s) from the served map."""
-        count = 0
-        for request in requests:
-            if isinstance(request.rows, tuple):
-                request.result = tuple(
-                    served[key] for key in request.rows
                 )
-                count += len(request.rows)
+            engine = session.engine
+            version = engine.stats_version
+            if rows is None:
+                result = engine.estimate()
+            elif isinstance(rows, int):
+                result, = engine.estimate_rows((rows,))
             else:
-                request.result = served[request.rows]
-                count += 1
-            request.version = version
-            request.done = True
-        return count
-
-    def _serve_group(self, session: Session, requests: List[_Request]) -> None:
-        """One session's coalesced requests: a single planning call."""
-        with session.lock:
-            version = session.engine.stats_version
-            keys = self._row_keys(requests)
-            int_keys = [key for key in keys if key is not None]
-            served: Dict[Union[None, int], StandardCellEstimate] = {}
-            if int_keys:
-                for key, estimate in zip(
-                    int_keys, session.engine.estimate_rows(int_keys)
-                ):
-                    served[key] = estimate
-            if None in keys:
-                served[None] = session.engine.estimate()
-            count = self._finish(requests, served, version)
+                keys = tuple(dict.fromkeys(rows))
+                served = dict(zip(keys, engine.estimate_rows(keys)))
+                result = tuple(served[key] for key in rows)
+            count = len(rows) if isinstance(rows, tuple) else 1
             session.estimates_served += count
         self._count("estimates_served", count)
+        return version, result

@@ -14,8 +14,8 @@ sample point the mirror equals the server's live module, and the
 response can be checked **bit-identical** against a direct
 :func:`~repro.core.standard_cell.estimate_standard_cell_from_stats`
 call on the mirror's scan.  Those checks are deferred until the load
-finishes: during the run only the thread holding the engine's drain
-lock touches the shared kernel caches (the concurrency invariant of
+finishes: during the run only the thread holding the engine lock
+touches the shared kernel caches (the concurrency invariant of
 ``docs/ARCHITECTURE.md``), so the verifier must not race it.
 
 ``python -m repro.service.loadtest`` is the CI smoke entry point: it
@@ -40,12 +40,17 @@ from typing import List, Optional, Tuple
 
 from repro.core.config import EstimatorConfig, scan_for
 from repro.core.standard_cell import estimate_standard_cell_from_stats
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.incremental.editgen import random_mutation
 from repro.incremental.mutations import mutations_to_jsonable
 from repro.netlist.model import Module
 from repro.netlist.writers import write_verilog
 from repro.obs.metrics import latency_percentiles
+from repro.perf.backends import (
+    backend_from_environment,
+    current_backend_name,
+    use_backend,
+)
 from repro.service.engine import EstimationEngine, ServiceConfig
 from repro.service.server import start_server
 from repro.service.wire import estimate_from_jsonable
@@ -270,7 +275,7 @@ def run_load(
     elapsed = time.perf_counter() - start
 
     # Deferred bit-identity verification: the load is over, so direct
-    # kernel evaluation no longer races a draining handler thread.
+    # kernel evaluation no longer races the engine-lock holder.
     process = _PROCESSES[tech]
     config = EstimatorConfig()
     verified = 0
@@ -298,6 +303,7 @@ def run_load(
     estimates = sum(worker.estimates for worker in workers)
     return {
         "sessions": sessions,
+        "backend": current_backend_name(),
         "duration_s": duration,
         "elapsed_s": round(elapsed, 3),
         "requests": sum(worker.requests for worker in workers),
@@ -326,7 +332,7 @@ def format_report(report: dict) -> str:
     latency = report["latency"]
     lines = [
         f"serve load: {report['sessions']} sessions, "
-        f"{report['elapsed_s']:.2f}s",
+        f"{report['elapsed_s']:.2f}s, backend {report['backend']}",
         f"  requests {report['requests']}  estimates "
         f"{report['estimates']}  edits {report['edits']}  "
         f"rejected(429) {report['rejected']}",
@@ -340,6 +346,28 @@ def format_report(report: dict) -> str:
         lines.append(f"  errors ({len(report['errors'])}):")
         lines.extend(f"    {error}" for error in report["errors"][:10])
     return "\n".join(lines)
+
+
+def _load_and_stop(args) -> dict:
+    """Run the load against an in-process server, then stop it through
+    ``POST /shutdown``; the report says whether the drain was clean."""
+    engine = EstimationEngine(ServiceConfig(
+        max_sessions=max(args.sessions + 8, 64),
+    ))
+    server = start_server(engine)
+    try:
+        report = run_load(
+            server.base_url, sessions=args.sessions,
+            duration=args.duration, seed=args.seed, tech=args.tech,
+        )
+    finally:
+        # Exercise the documented drain path, then confirm it worked.
+        status, _ = _request(server.base_url, "POST", "/shutdown", {})
+        deadline = time.perf_counter() + 15.0
+        while not server.stopped and time.perf_counter() < deadline:
+            time.sleep(0.05)
+    report["clean_shutdown"] = status == 202 and server.stopped
+    return report
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -372,24 +400,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="also write the load report to FILE")
     args = parser.parse_args(argv)
 
-    engine = EstimationEngine(ServiceConfig(
-        max_sessions=max(args.sessions + 8, 64),
-    ))
-    server = start_server(engine)
     failures: List[str] = []
     try:
-        report = run_load(
-            server.base_url, sessions=args.sessions,
-            duration=args.duration, seed=args.seed, tech=args.tech,
-        )
-    finally:
-        # Exercise the documented drain path, then confirm it worked.
-        status, _ = _request(server.base_url, "POST", "/shutdown", {})
-        deadline = time.perf_counter() + 15.0
-        while not server.stopped and time.perf_counter() < deadline:
-            time.sleep(0.05)
-    clean = status == 202 and server.stopped
-    report["clean_shutdown"] = clean
+        # $MAE_BACKEND selects the backend, as for every mae command.
+        with use_backend(backend_from_environment()):
+            report = _load_and_stop(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    clean = report["clean_shutdown"]
     print(format_report(report))
     if args.json:
         with open(args.json, "w") as handle:

@@ -5,8 +5,7 @@ One :class:`MAEServer` wraps one :class:`~repro.service.engine
 third-party dependency, matching the package's zero-dependency runtime.
 Handler threads run the JSON codec, netlist parsing and edit
 application under the session lock; a handler thread evaluates an
-estimate only while it holds the engine's drain lock (an idle engine
-serves a request on its own handler thread), preserving the
+estimate only while it holds the engine lock, preserving the
 concurrency invariant documented in ``docs/ARCHITECTURE.md``.
 
 The route table below is the server's public contract;
@@ -28,10 +27,11 @@ Status mapping (see :mod:`repro.errors`):
 * 413 — the declared body exceeds :data:`MAX_BODY_BYTES`
 * 431 — a header line over :data:`MAX_HEADER_LINE` bytes, or more than
   :data:`MAX_HEADERS` header lines
-* 429 — backpressure: the bounded request queue (or the in-flight
+* 429 — backpressure: the engine's admission limit (or the in-flight
   request limiter) is full; retry with backoff
 * 503 — the engine is draining for shutdown
-* 504 — the per-request timeout expired before dispatch
+* 504 — the per-request timeout expired before the request took the
+  engine lock
 * 505 — an HTTP version of 2.0 or above
 
 The request line is checked as ``http.server`` checks it (a line
@@ -166,7 +166,7 @@ def _parse_module(body: dict, field_prefix: str = ""):
             400, f"'{field_prefix}source' must be a non-empty string"
         )
     fmt = body.get("format", "verilog")
-    parser = _PARSERS.get(fmt)
+    parser = _PARSERS.get(fmt) if isinstance(fmt, str) else None
     if parser is None:
         raise _HTTPFail(
             400, f"unknown format {fmt!r} (supported: verilog, spice)"
@@ -266,7 +266,7 @@ class MAEServer:
     address is available as :attr:`base_url` after construction.
     ``max_inflight`` bounds concurrently *handled* requests across all
     endpoints — the second backpressure layer in front of the engine's
-    bounded queue (both answer 429).
+    ``queue_limit`` (both answer 429).
     """
 
     def __init__(
@@ -282,8 +282,7 @@ class MAEServer:
             )
         self.engine = engine or EstimationEngine(ServiceConfig())
         #: One shared process database per tech name: sessions of the
-        #: same technology share one instance, which keys them onto the
-        #: same plans and lets multi-session drains batch together.
+        #: same technology share one instance rather than one each.
         self.processes = {
             name: factory() for name, factory in builtin_processes().items()
         }
@@ -327,8 +326,8 @@ class MAEServer:
             self.stop()
 
     def stop(self, drain: bool = True) -> None:
-        """Graceful shutdown: stop accepting connections, drain the
-        engine (serving every queued request), persist caches."""
+        """Graceful shutdown: stop accepting connections, then drain
+        the engine (serving every waiting request)."""
         if self._stopped:
             return
         self._stopped = True
@@ -569,16 +568,24 @@ def _make_handler(server: MAEServer):
                 )
 
         # --------------------------------------------------------------
-        def _create_session(self) -> dict:
-            body = self._json_body()
-            module = _parse_module(body)
+        @staticmethod
+        def _process(body: dict):
+            """The shared process database a body's ``tech`` names."""
             tech = body.get("tech", "nmos")
-            process = server.processes.get(tech)
+            process = (
+                server.processes.get(tech) if isinstance(tech, str) else None
+            )
             if process is None:
                 raise _HTTPFail(
                     400, f"unknown tech {tech!r} "
                          f"(available: {sorted(server.processes)})"
                 )
+            return process
+
+        def _create_session(self) -> dict:
+            body = self._json_body()
+            module = _parse_module(body)
+            process = self._process(body)
             config = config_from_jsonable(body.get("config"))
             backend = body.get("backend")
             if backend is not None and not isinstance(backend, str):
@@ -640,13 +647,7 @@ def _make_handler(server: MAEServer):
                         400, f"modules[{index}] must be an object"
                     )
                 modules.append(_parse_module(spec))
-            tech = body.get("tech", "nmos")
-            process = server.processes.get(tech)
-            if process is None:
-                raise _HTTPFail(
-                    400, f"unknown tech {tech!r} "
-                         f"(available: {sorted(server.processes)})"
-                )
+            process = self._process(body)
             methodology = body.get("methodology", "standard-cell")
             if methodology not in ("standard-cell", "full-custom"):
                 raise _HTTPFail(
@@ -739,7 +740,9 @@ def _make_handler(server: MAEServer):
                 raise _HTTPFail(400, "request body must be JSON")
             try:
                 body = json.loads(self._body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers bad UTF-8, bad JSON and an integer
+                # literal past Python's digit limit.
                 raise _HTTPFail(
                     400, f"request body is not valid JSON: {exc}"
                 ) from exc
@@ -786,7 +789,9 @@ def _timeout(body: dict) -> Optional[float]:
     if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) \
             or not 0 < timeout < math.inf:
         raise _HTTPFail(400, "'timeout' must be a positive number")
-    return float(timeout)
+    # The engine waits at most threading.TIMEOUT_MAX anyway; clamping
+    # first keeps an integer past the float range from overflowing.
+    return float(min(timeout, threading.TIMEOUT_MAX))
 
 
 def _estimate_payload(session_id, version, rows, result) -> dict:

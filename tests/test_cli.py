@@ -61,6 +61,18 @@ class TestEstimateCommand:
             ["estimate", str(verilog_file), "--tech", "cmos"]
         ) == 0
 
+    @pytest.mark.parametrize("content", [None, b"module m (a);\xff"],
+                             ids=["absent", "not-utf8"])
+    def test_unreadable_schematic_is_an_error_line(self, tmp_path, capsys,
+                                                   content):
+        path = tmp_path / "unreadable.v"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["estimate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read schematic '{path}'")
+        assert "Traceback" not in err
+
     def test_missing_file_is_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.v"
         with pytest.raises(SystemExit):

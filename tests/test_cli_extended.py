@@ -237,6 +237,15 @@ class TestEcoCommand:
         assert main(["eco", str(verilog_file), "--edits", str(bad)]) == 1
         assert "unknown edit op" in capsys.readouterr().err
 
+    def test_mistyped_op_fails_cleanly(self, verilog_file, tmp_path,
+                                       capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"schema_version": 1, "edits": [{"op": []}]}')
+        assert main(["eco", str(verilog_file), "--edits", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown edit op")
+        assert "Traceback" not in err
+
     def test_fixed_rows(self, verilog_file, tmp_path, capsys):
         code, _ = self._sample(verilog_file, tmp_path, count=3,
                                extra=("--rows", "2"))

@@ -21,6 +21,8 @@ class TestValidation:
         [
             {"rows": 0},
             {"max_rows": 0},
+            {"rows": 10_001},
+            {"max_rows": 10 ** 18},
             {"row_spread_mode": "bogus"},
             {"feedthrough_model": "bogus"},
             {"track_sharing_factor": 0.0},
@@ -34,6 +36,30 @@ class TestValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(EstimationError):
             EstimatorConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rows": 2.5}, {"rows": True}, {"rows": "4"}, {"max_rows": 8.0},
+        {"max_rows": False}, {"max_rows": None},
+        {"congestion_margin": float("nan")},
+        {"congestion_margin": float("inf")},
+        {"track_sharing_factor": None},
+        {"port_pitch_override": float("inf")},
+        {"port_pitch_override": float("nan")},
+        {"max_aspect": float("nan")}, {"max_aspect": True},
+        {"max_aspect": "2"}, {"max_aspect": 10 ** 400},
+    ], ids=lambda kwargs: f"{next(iter(kwargs))}={next(iter(kwargs.values()))!r:.12}")
+    def test_rejects_non_finite_and_mistyped_numbers(self, kwargs):
+        """JSON bodies carry such values (``json.loads`` reads 2.5,
+        true, NaN and Infinity anywhere): each is a typed error here,
+        not a config that fails later."""
+        with pytest.raises(EstimationError, match="must be a finite"):
+            EstimatorConfig(**kwargs)
+
+    def test_numpy_scalars_pass(self):
+        numpy = pytest.importorskip("numpy")
+        config = EstimatorConfig(rows=numpy.int64(3),
+                                 max_aspect=numpy.float32(1.5))
+        assert config.rows == 3
 
     def test_valid_extremes_accepted(self):
         EstimatorConfig(track_sharing_factor=1e-9)

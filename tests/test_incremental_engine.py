@@ -405,6 +405,23 @@ class TestEditsFiles:
         with pytest.raises(MutationError, match=message):
             mutations_from_jsonable(document)
 
+    @pytest.mark.parametrize("record, message", [
+        ({"op": []}, "unknown edit op"),
+        ({"op": {"connect": 1}}, "unknown edit op"),
+        ({"op": "connect", "device": [], "pin": {}, "net": None},
+         "device must be a string"),
+        ({"op": "merge_nets", "keep": [1], "absorb": {}},
+         "keep must be a string"),
+        ({"op": "add_device", "name": "u9", "cell": 3},
+         "cell must be a string"),
+        ({"op": "split_net", "net": "a", "new_net": None},
+         "new_net must be a string"),
+    ], ids=["op-list", "op-object", "connect", "merge-nets", "add-device",
+            "split-net"])
+    def test_mistyped_fields_rejected(self, record, message):
+        with pytest.raises(MutationError, match=message):
+            mutations_from_jsonable({"schema_version": 1, "edits": [record]})
+
     def test_edit_distance_census(self):
         census = edit_distance(self.EDITS + [RemoveDevice("x")])
         assert census == {

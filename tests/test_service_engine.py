@@ -1,13 +1,17 @@
 """Tests for the estimation-engine facade (:mod:`repro.service.engine`).
 
 The load-bearing guarantees: every estimate served through the
-sessions/queue/drain-lock machinery is bit-identical to the direct
+sessions/engine-lock machinery is bit-identical to the direct
 estimator call on the same module state; only one thread at a time
-evaluates; the bounded queue answers backpressure and timeouts
+evaluates; the bounded admission answers backpressure and timeouts
 deterministically; and shutdown drains in-flight work instead of
 dropping it.
+
+To fill the engine deterministically, a test holds the engine lock
+with a submitted job that blocks on an event (:func:`holding`).
 """
 
+import contextlib
 import dataclasses
 import sys
 import threading
@@ -34,6 +38,33 @@ def _fields(estimate):
     return dataclasses.astuple(estimate)
 
 
+def _depth(engine):
+    """Requests admitted but not yet holding the engine lock."""
+    return engine.service_stats()["queue"]["depth"]
+
+
+@contextlib.contextmanager
+def holding(engine):
+    """Hold the engine lock from another thread for the ``with`` block:
+    a submitted job that blocks until the block exits."""
+    entered, release = threading.Event(), threading.Event()
+
+    def job():
+        entered.set()
+        assert release.wait(30)
+
+    holder = threading.Thread(target=engine.submit_job, args=(job,),
+                              daemon=True)
+    holder.start()
+    assert entered.wait(5)
+    try:
+        yield
+    finally:
+        release.set()
+        holder.join(30)
+        assert not holder.is_alive()
+
+
 @pytest.fixture(scope="module")
 def nmos():
     return nmos_process()
@@ -53,8 +84,7 @@ def module():
 
 class TestServiceConfig:
     @pytest.mark.parametrize("field,value", [
-        ("max_sessions", 0), ("queue_limit", 0), ("coalesce_limit", 0),
-        ("request_timeout", 0.0),
+        ("max_sessions", 0), ("queue_limit", 0), ("request_timeout", 0.0),
     ])
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ServiceError):
@@ -187,42 +217,6 @@ class TestEstimateBitIdentity:
                 )
                 assert _fields(served) == _fields(direct)
 
-    def test_multi_session_drain_identical(self, nmos):
-        """A drain coalescing requests from three sessions serves the
-        same bits as direct estimation."""
-        engine = EstimationEngine(ServiceConfig())
-        try:
-            modules = [
-                random_gate_module(f"svc_batch_{i}", gates=30, inputs=5,
-                                   outputs=3, seed=i)
-                for i in range(3)
-            ]
-            sessions = [engine.create_session(m, nmos) for m in modules]
-            # Park the dispatcher so all requests coalesce into one
-            # drain.
-            engine._dispatch_gate.clear()
-            results = {}
-
-            def work(index):
-                _, served = engine.estimate(sessions[index].session_id)
-                results[index] = served
-
-            threads = [
-                threading.Thread(target=work, args=(i,)) for i in range(3)
-            ]
-            for t in threads:
-                t.start()
-            engine._dispatch_gate.set()
-            for t in threads:
-                t.join()
-            for index, module in enumerate(modules):
-                direct = estimate_standard_cell(
-                    module, nmos, EstimatorConfig()
-                )
-                assert _fields(results[index]) == _fields(direct)
-        finally:
-            engine.shutdown()
-
     def test_mixed_process_sessions(self, engine, module, nmos):
         cmos = cmos_process()
         s1 = engine.create_session(module, nmos)
@@ -242,44 +236,62 @@ class TestBackpressureAndTimeouts:
         engine = EstimationEngine(ServiceConfig(queue_limit=2))
         try:
             session = engine.create_session(module, nmos)
-            engine._dispatch_gate.clear()
-            threads = [
-                threading.Thread(
-                    target=lambda: engine.estimate(session.session_id),
-                    daemon=True,
-                )
-                for _ in range(2)
-            ]
-            for t in threads:
-                t.start()
-            deadline = 50
-            while len(engine._queue) < 2 and deadline:
-                deadline -= 1
-                threading.Event().wait(0.02)
-            with pytest.raises(QueueFullError):
-                engine.estimate(session.session_id)
-            assert engine.service_stats()["requests"]["rejected"] == 1
+            with holding(engine):
+                threads = [
+                    threading.Thread(
+                        target=lambda: engine.estimate(session.session_id),
+                        daemon=True,
+                    )
+                    for _ in range(2)
+                ]
+                for t in threads:
+                    t.start()
+                _wait_for(lambda: _depth(engine) == 2)
+                with pytest.raises(QueueFullError):
+                    engine.estimate(session.session_id)
+                assert engine.service_stats()["requests"]["rejected"] == 1
+            _join_all(threads)
         finally:
-            engine._dispatch_gate.set()
             engine.shutdown()
 
     def test_request_timeout(self, module, nmos):
         engine = EstimationEngine(ServiceConfig())
         try:
             session = engine.create_session(module, nmos)
-            engine._dispatch_gate.clear()
-            with pytest.raises(RequestTimeoutError):
-                engine.estimate(session.session_id, timeout=0.05)
-            assert engine.service_stats()["requests"]["timeouts"] == 1
+            with holding(engine):
+                with pytest.raises(RequestTimeoutError):
+                    engine.estimate(session.session_id, timeout=0.05)
+                assert engine.service_stats()["requests"]["timeouts"] == 1
         finally:
-            engine._dispatch_gate.set()
             engine.shutdown()
+
+    @pytest.mark.parametrize("timeout", [-1, -0.5, 0, float("nan")])
+    def test_non_positive_timeout_runs_out_at_once(self, module, nmos,
+                                                   timeout):
+        """A timeout that is not positive times out at once, idle engine
+        or not, and gives its admission slot back: -1 must not wait
+        forever, NaN must not leak the slot through ``acquire``."""
+        engine = EstimationEngine(ServiceConfig(queue_limit=2))
+        try:
+            session = engine.create_session(module, nmos)
+            for _ in range(3):
+                with pytest.raises(RequestTimeoutError):
+                    engine.estimate(session.session_id, timeout=timeout)
+                with pytest.raises(RequestTimeoutError):
+                    engine.submit_job(lambda: None, timeout=timeout)
+            stats = engine.service_stats()
+            assert stats["queue"]["depth"] == 0
+            assert stats["requests"]["timeouts"] == 6
+            assert "estimates_served" not in stats["requests"]
+            assert "jobs_served" not in stats["requests"]
+            assert engine.estimate(session.session_id)[1] is not None
+        finally:
+            engine.shutdown(timeout=5)
 
     def test_queued_request_for_closed_session_fails(self, module, nmos):
         engine = EstimationEngine(ServiceConfig())
         try:
             session = engine.create_session(module, nmos)
-            engine._dispatch_gate.clear()
             caught = []
 
             def work():
@@ -289,14 +301,11 @@ class TestBackpressureAndTimeouts:
                     caught.append(exc)
 
             thread = threading.Thread(target=work)
-            thread.start()
-            deadline = 50
-            while not engine._queue and deadline:
-                deadline -= 1
-                threading.Event().wait(0.02)
-            engine.close_session(session.session_id)
-            engine._dispatch_gate.set()
-            thread.join()
+            with holding(engine):
+                thread.start()
+                _wait_for(lambda: _depth(engine) == 1)
+                engine.close_session(session.session_id)
+            _join_all([thread])
             assert caught and "closed" in str(caught[0])
         finally:
             engine.shutdown()
@@ -316,23 +325,19 @@ class TestShutdown:
     def test_drain_serves_queued_requests(self, module, nmos):
         engine = EstimationEngine(ServiceConfig())
         session = engine.create_session(module, nmos)
-        engine._dispatch_gate.clear()
         results = []
         thread = threading.Thread(
             target=lambda: results.append(
                 engine.estimate(session.session_id)
             )
         )
-        thread.start()
-        deadline = 50
-        while not engine._queue and deadline:
-            deadline -= 1
-            threading.Event().wait(0.02)
         shutdown = threading.Thread(target=engine.shutdown)
-        shutdown.start()
-        engine._dispatch_gate.set()
-        shutdown.join()
-        thread.join()
+        with holding(engine):
+            thread.start()
+            _wait_for(lambda: _depth(engine) == 1)
+            shutdown.start()
+            _wait_for(lambda: not engine.service_stats()["accepting"])
+        _join_all([shutdown, thread])
         assert results and results[0][1] is not None
         direct = estimate_standard_cell(module, nmos, EstimatorConfig())
         assert _fields(results[0][1]) == _fields(direct)
@@ -340,7 +345,6 @@ class TestShutdown:
     def test_no_drain_fails_queued_requests(self, module, nmos):
         engine = EstimationEngine(ServiceConfig())
         session = engine.create_session(module, nmos)
-        engine._dispatch_gate.clear()
         caught = []
 
         def work():
@@ -350,15 +354,17 @@ class TestShutdown:
                 caught.append(exc)
 
         thread = threading.Thread(target=work)
-        thread.start()
-        deadline = 50
-        while not engine._queue and deadline:
-            deadline -= 1
-            threading.Event().wait(0.02)
-        engine.shutdown(drain=False)
-        engine._dispatch_gate.set()
-        thread.join()
+        shutdown = threading.Thread(target=engine.shutdown,
+                                    kwargs={"drain": False})
+        with holding(engine):
+            thread.start()
+            _wait_for(lambda: _depth(engine) == 1)
+            shutdown.start()
+            _wait_for(lambda: not engine.service_stats()["accepting"])
+        _join_all([shutdown, thread])
         assert caught
+        assert engine.service_stats()["requests"].get(
+            "estimates_served", 0) == 0
 
 
 class TestMetrics:
@@ -388,6 +394,8 @@ class TestMetrics:
 
         with pytest.raises(ValueError, match="nope"):
             engine.submit_job(boom)
+        # A job that ran counts as served, whether or not it raised.
+        assert engine.service_stats()["requests"]["jobs_served"] == 1
 
 
 class _ConcurrencyProbe:
@@ -429,7 +437,8 @@ def _wait_for(condition, timeout=5.0):
 
 
 class TestDrainLock:
-    """Submitting threads serve the queue themselves, one at a time."""
+    """Submitting threads evaluate their own requests under the engine
+    lock, one at a time."""
 
     def test_jobs_and_estimates_never_evaluate_concurrently(self, nmos):
         engine = EstimationEngine(ServiceConfig(queue_limit=64))
@@ -480,9 +489,9 @@ class TestDrainLock:
             sys.setswitchinterval(interval)
             engine.shutdown()
         assert not errors
-        # Same-session requests in one batch share a planning call, so
-        # the probe sees at most one call per request.
-        assert len(served) == 8 * 8 and 8 * 4 < probe.calls <= 8 * 12
+        # Each request is one evaluation call: a job, ``estimate()`` or
+        # one ``estimate_rows``.
+        assert len(served) == 8 * 8 and probe.calls == 8 * 12
         assert probe.peak == 1
         by_module = {s.session_id: m for s, m in zip(sessions, modules)}
         for session, rows, result in served.values():
@@ -499,13 +508,14 @@ class TestDrainLock:
                     assert _fields(estimate) == _fields(direct)
 
     def test_a_timed_out_request_strands_no_queue(self, module, nmos):
-        """Of three parked requests, the first (which holds the drain
-        lock, waiting on the gate) times out and leaves the queue; the
-        other two are served once the gate opens."""
+        """Of three requests waiting behind a held engine lock, the one
+        with a short timeout gives up and is never evaluated; the other
+        two are served once the lock is free."""
         engine = EstimationEngine(ServiceConfig())
         try:
             session = engine.create_session(module, nmos)
-            engine._dispatch_gate.clear()
+            probe = _ConcurrencyProbe()
+            session.engine.estimate = probe(session.engine.estimate)
             outcomes = {}
 
             def work(name, timeout):
@@ -521,23 +531,23 @@ class TestDrainLock:
                 threading.Thread(target=work, args=(name, 30.0))
                 for name in ("first", "second")
             ]
-            short.start()
-            _wait_for(lambda: len(engine._queue) == 1)
-            for thread in longs:
-                thread.start()
-            _join_all([short])
-            assert isinstance(outcomes["short"], RequestTimeoutError)
-            _wait_for(lambda: len(engine._queue) == 2)
-            engine._dispatch_gate.set()
+            with holding(engine):
+                short.start()
+                _wait_for(lambda: _depth(engine) == 1)
+                for thread in longs:
+                    thread.start()
+                _join_all([short])
+                assert isinstance(outcomes["short"], RequestTimeoutError)
+                _wait_for(lambda: _depth(engine) == 2)
             _join_all(longs)
             direct = estimate_standard_cell(module, nmos, EstimatorConfig())
             for name in ("first", "second"):
                 assert _fields(outcomes[name]) == _fields(direct)
+            assert probe.calls == 2
             stats = engine.service_stats()
             assert stats["queue"]["depth"] == 0
             assert stats["requests"]["timeouts"] == 1
         finally:
-            engine._dispatch_gate.set()
             engine.shutdown()
 
     def test_shutdown_during_another_drain_serves_every_queued_request(
@@ -560,19 +570,19 @@ class TestDrainLock:
         def work(rows):
             outcomes[rows] = engine.estimate(session.session_id, rows=rows)
 
-        drainer = threading.Thread(target=run_job)
-        drainer.start()
-        assert entered.wait(5)  # the drainer is inside its job
+        holder = threading.Thread(target=run_job)
+        holder.start()
+        assert entered.wait(5)  # the holder is inside its job
         waiters = [threading.Thread(target=work, args=(rows,))
                    for rows in (2, 3, 4)]
         for thread in waiters:
             thread.start()
-        _wait_for(lambda: len(engine._queue) == 3)
+        _wait_for(lambda: _depth(engine) == 3)
         stopper = threading.Thread(target=engine.shutdown)
         stopper.start()
         _wait_for(lambda: not engine.service_stats()["accepting"])
         release.set()
-        _join_all([drainer, stopper] + waiters)
+        _join_all([holder, stopper] + waiters)
         assert outcomes["job"] == "job"
         for rows in (2, 3, 4):
             version, served = outcomes[rows]

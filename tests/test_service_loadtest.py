@@ -82,6 +82,19 @@ class TestMain:
         assert out.exists()
         assert "bit-identity" in captured.out
 
+    def test_backend_follows_the_environment(self, monkeypatch, capsys):
+        """``$MAE_BACKEND`` selects the backend, as for every ``mae``
+        command; an unknown one is an ``error:`` line and exit 1."""
+        pytest.importorskip("numpy")
+        monkeypatch.setenv("MAE_BACKEND", "numpy")
+        code = main(["--sessions", "2", "--duration", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "backend numpy" in captured.out
+        monkeypatch.setenv("MAE_BACKEND", "bogus")
+        assert main(["--sessions", "2", "--duration", "0.5"]) == 1
+        assert "error: unknown backend 'bogus'" in capsys.readouterr().err
+
     def test_unmeetable_throughput_fails(self, capsys):
         code = main([
             "--sessions", "2", "--duration", "1",

@@ -12,9 +12,11 @@ the ``serve_equivalence`` verify check.
 import dataclasses
 import http.client
 import json
+import math
 import re
 import socket
 import statistics
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -23,10 +25,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.config import EstimatorConfig
+from repro.core.config import (
+    DEVICE_AREA_MODES,
+    FEEDTHROUGH_MODELS,
+    NET_SPAN_MODES,
+    TRACK_MODELS,
+    EstimatorConfig,
+)
+from repro.core.estimator import ModuleAreaEstimator
 from repro.core.standard_cell import estimate_standard_cell
+from repro.errors import MutationError, ReproError
 from repro.incremental.editgen import random_mutation
-from repro.incremental.mutations import mutations_to_jsonable
+from repro.incremental.mutations import (
+    MUTATION_KINDS,
+    mutations_from_jsonable,
+    mutations_to_jsonable,
+)
 from repro.netlist.writers import write_verilog
 from repro.service import server as server_mod
 from repro.service.engine import EstimationEngine, ServiceConfig
@@ -35,6 +49,7 @@ from repro.service.wire import estimate_from_jsonable, estimate_to_jsonable
 from repro.technology.libraries import nmos_process
 from repro.verify.checks import check_serve_equivalence
 from repro.workloads.generators import counter_module, decoder_module
+from tests.test_service_engine import holding
 
 
 def _fields(estimate):
@@ -322,10 +337,7 @@ class TestErrorContract:
     def test_queue_full_429(self, server, module):
         sid = create_session(server, module)["session"]
         engine = server.engine
-        engine._dispatch_gate.clear()
-        try:
-            import threading
-
+        with holding(engine):
             threads = [
                 threading.Thread(
                     target=request,
@@ -338,31 +350,27 @@ class TestErrorContract:
             ]
             for t in threads:
                 t.start()
-            deadline = 100
-            while len(engine._queue) < 8 and deadline:
-                deadline -= 1
+            deadline = time.monotonic() + 5
+            while engine.service_stats()["queue"]["depth"] < 8:
+                assert time.monotonic() < deadline
                 time.sleep(0.02)
             status, body = request(
                 server.base_url, "POST", f"/sessions/{sid}/estimate", {}
             )
             assert status == 429, body
-        finally:
-            engine._dispatch_gate.set()
 
     def test_request_timeout_504(self, server, module):
         sid = create_session(server, module)["session"]
-        server.engine._dispatch_gate.clear()
-        try:
+        with holding(server.engine):
             status, body = request(
                 server.base_url, "POST", f"/sessions/{sid}/estimate",
                 {"timeout": 0.05},
             )
             assert status == 504, body
-        finally:
-            server.engine._dispatch_gate.set()
 
     @pytest.mark.parametrize("timeout, expected", [
-        (1e300, 200), (float("inf"), 400), (float("nan"), 400), (0, 400),
+        (1e300, 200), (10 ** 400, 200), (float("inf"), 400),
+        (float("nan"), 400), (0, 400),
     ])
     def test_timeout_field(self, server, module, timeout, expected):
         """A huge timeout waits as long as the platform allows; a
@@ -782,6 +790,304 @@ class TestRequestHead:
         assert 500 not in statuses
         status, body = request(head_server.base_url, "GET", "/health")
         assert status == 200 and body["status"] == "ok"
+
+
+def post_raw(server, path, data):
+    """POST raw body bytes; returns (status, decoded JSON reply)."""
+    connection = http.client.HTTPConnection(server.host, server.port,
+                                            timeout=15)
+    try:
+        connection.request("POST", path, body=data,
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestMalformedBodies:
+    """Each body answers 400 (it once answered 500, or was accepted and
+    made every later estimate of its session answer 500)."""
+
+    @pytest.mark.parametrize("path", ["/sessions", "/estimate"])
+    @pytest.mark.parametrize("tech", [[], {}, 3])
+    def test_tech_must_be_a_string(self, server, module, path, tech):
+        source = write_verilog(module)
+        body = {"source": source, "tech": tech, "modules": [
+            {"source": source}
+        ]}
+        status, reply = request(server.base_url, "POST", path, body)
+        assert status == 400 and "unknown tech" in reply["error"]
+
+    @pytest.mark.parametrize("path", ["/sessions", "/estimate"])
+    @pytest.mark.parametrize("fmt", [[], {}])
+    def test_format_must_be_a_string(self, server, module, path, fmt):
+        source = write_verilog(module)
+        body = {"source": source, "format": fmt, "modules": [
+            {"source": source, "format": fmt}
+        ]}
+        status, reply = request(server.base_url, "POST", path, body)
+        assert status == 400 and "unknown format" in reply["error"]
+
+    @pytest.mark.parametrize("config", [
+        {"rows": 2.5}, {"rows": True}, {"max_aspect": math.nan},
+        {"port_pitch_override": math.nan},
+        {"congestion_margin": math.nan, "track_model": "shared"},
+    ], ids=["rows-2.5", "rows-true", "max-aspect-nan", "port-pitch-nan",
+            "margin-nan-shared"])
+    def test_session_config_numbers(self, server, module, config):
+        status, reply = request(server.base_url, "POST", "/sessions", {
+            "source": write_verilog(module), "config": config,
+        })
+        assert status == 400 and "must be a finite" in reply["error"]
+        assert server.engine.list_sessions() == []
+
+    @pytest.mark.parametrize("rows", [10_001, [2, 10 ** 18], 10 ** 400],
+                             ids=["10001", "1e18", "1e400"])
+    def test_row_counts_past_the_limit(self, server, module, rows):
+        """Every estimate takes at most ROW_COUNT_LIMIT rows (numpy once
+        grew a table to the largest row count asked for, and 10**400
+        overflowed the float conversion)."""
+        sid = create_session(server, module)["session"]
+        status, reply = request(server.base_url, "POST",
+                                f"/sessions/{sid}/estimate", {"rows": rows})
+        assert status == 400 and "1..10000" in reply["error"]
+
+    def test_infinite_port_pitch_full_custom(self, server, module):
+        status, reply = request(server.base_url, "POST", "/estimate", {
+            "modules": [{"source": write_verilog(module)}],
+            "methodology": "full-custom",
+            "config": {"port_pitch_override": math.inf},
+        })
+        assert status == 400 and "must be a finite" in reply["error"]
+
+    @pytest.mark.parametrize("data", [
+        b"[" * 100000 + b"]" * 100000,
+        b'{"tech": ' + b"1" * 5000 + b"}",
+    ], ids=["deeply-nested", "5000-digit-integer"])
+    def test_json_the_decoder_refuses(self, server, data):
+        status, reply = post_raw(server, "/sessions", data)
+        assert status == 400 and "not valid JSON" in reply["error"]
+
+    @pytest.mark.parametrize("record", [
+        {"op": []},
+        {"op": "connect", "device": [], "pin": {}, "net": None},
+        {"op": "merge_nets", "keep": [1], "absorb": {}},
+        {"op": "add_device", "name": "u_new", "cell": "INV",
+         "pins": {"a": "n1"}, "width_lambda": "wide"},
+        {"op": "add_device", "name": "u_new", "cell": "INV",
+         "pins": {"a": "n1"}, "height_lambda": math.nan},
+    ], ids=["op-list", "connect", "merge-nets", "width-text",
+            "height-nan"])
+    def test_mistyped_edits(self, server, module, record):
+        sid = create_session(server, module)["session"]
+        status, reply = request(
+            server.base_url, "POST", f"/sessions/{sid}/edits",
+            {"edits": {"schema_version": 1, "edits": [record]}},
+        )
+        assert status == 400, reply
+        assert server.engine.session(sid).info()["version"] == 0
+
+
+# ----------------------------------------------------------------------
+# fuzzed request bodies
+# ----------------------------------------------------------------------
+FUZZ_MODULE = decoder_module("fuzz_decoder", 2)
+FUZZ_SOURCE = write_verilog(FUZZ_MODULE)
+
+#: Any JSON value, a scalar half the time.  ``json.dumps`` writes NaN
+#: and +-Infinity as the raw ``NaN`` / ``Infinity`` literals that
+#: ``json.loads`` (and so the server) accepts.
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.text(max_size=6)
+)
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+#: Values that slip past naive checks: non-integral, boolean,
+#: non-finite, zero, negative and huge numbers.
+EDGE_VALUES = st.sampled_from(
+    [2.5, 3.0, True, False, math.nan, math.inf, -math.inf, 0, -1, 10 ** 400]
+)
+
+
+def bodies(required=(), unknown=True, **fields):
+    """JSON objects over ``fields``: plausible values from each field's
+    own strategy (the ``required`` fields always present, so a body
+    gets past the checks before the one under test), then one field, or
+    an unknown key, set to any JSON value."""
+    names = sorted(fields) + (["zz_unknown"] if unknown else [])
+    plausible = st.fixed_dictionaries(
+        {name: fields.pop(name) for name in required}, optional=fields,
+    )
+    return st.builds(lambda body, name, value: {**body, name: value},
+                     plausible, st.sampled_from(names),
+                     EDGE_VALUES | JSON_VALUES)
+
+
+ROWS = st.integers(1, 6) | st.lists(st.integers(1, 6), min_size=1,
+                                    max_size=3)
+TIMEOUTS = st.floats(1.0, 30.0)
+TECHS = st.sampled_from(["nmos", "cmos"])
+CONFIGS = bodies(
+    unknown=False,
+    rows=st.integers(1, 6), max_rows=st.integers(1, 64),
+    row_spread_mode=st.sampled_from(["paper", "exact"]),
+    feedthrough_model=st.sampled_from(FEEDTHROUGH_MODELS),
+    track_sharing_factor=st.floats(0.1, 1.0),
+    track_model=st.sampled_from(TRACK_MODELS),
+    congestion_margin=st.floats(1.0, 3.0),
+    net_span_mode=st.sampled_from(NET_SPAN_MODES),
+    device_area_mode=st.sampled_from(DEVICE_AREA_MODES),
+    port_pitch_override=st.floats(1.0, 20.0),
+    power_nets=st.lists(st.sampled_from(["VDD", "GND", "clk"]),
+                        max_size=2),
+    max_aspect=st.floats(1.0, 4.0),
+)
+NAMES = st.sampled_from(sorted(
+    {device.name for device in FUZZ_MODULE.devices}
+    | {net.name for net in FUZZ_MODULE.nets}
+    | {pin for device in FUZZ_MODULE.devices for pin in device.pins}
+    | {device.cell for device in FUZZ_MODULE.devices}
+)) | st.text(max_size=3)
+PAIRS = (st.dictionaries(NAMES, NAMES, max_size=3)
+         | st.lists(st.lists(NAMES, min_size=2, max_size=2), max_size=3))
+EDIT_RECORDS = st.one_of([
+    bodies(
+        required=["op"] + [
+            spec.name for spec in dataclasses.fields(cls)
+            if spec.default is dataclasses.MISSING
+        ],
+        unknown=False, op=st.just(kind),
+        **{spec.name: (PAIRS if spec.name in ("pins", "endpoints")
+                       else st.floats(1.0, 50.0)
+                       if spec.name.endswith("_lambda") else NAMES)
+           for spec in dataclasses.fields(cls)},
+    )
+    for kind, cls in sorted(MUTATION_KINDS.items())
+])
+EDIT_DOCUMENTS = st.fixed_dictionaries({
+    "schema_version": st.just(1),
+    "edits": st.lists(EDIT_RECORDS, max_size=3),
+})
+
+
+class TestBodyFuzz:
+    """Arbitrary JSON bodies on every POST endpoint: no reply is a 500,
+    and the server goes on serving."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_server(self):
+        server = start_server(EstimationEngine(ServiceConfig()))
+        yield server
+        server.stop(drain=True)
+
+    @staticmethod
+    def served(server, method, path, payload):
+        status, reply = request(server.base_url, method, path, payload)
+        assert status != 500, (path, payload, reply)
+        return status, reply
+
+    @staticmethod
+    def still_healthy(server):
+        assert request(server.base_url, "GET", "/health")[0] == 200
+
+    @given(body=bodies(
+        required=["source"],
+        source=st.just(FUZZ_SOURCE), format=st.sampled_from(["verilog"]),
+        tech=TECHS, config=CONFIGS, name=st.text(max_size=6),
+        backend=st.sampled_from(["exact", "numpy", "auto"]),
+    ))
+    def test_create_session(self, fuzz_server, body):
+        """A session the body creates must estimate without a 500."""
+        status, reply = self.served(fuzz_server, "POST", "/sessions", body)
+        if status == 201:
+            sid = reply["session"]
+            for payload in ({}, {"rows": [1, 3]}):
+                self.served(fuzz_server, "POST",
+                            f"/sessions/{sid}/estimate", payload)
+            self.served(fuzz_server, "DELETE", f"/sessions/{sid}", None)
+        self.still_healthy(fuzz_server)
+
+    @given(body=bodies(rows=ROWS, timeout=TIMEOUTS))
+    def test_estimate(self, fuzz_server, body):
+        sid = self.served(fuzz_server, "POST", "/sessions",
+                          {"source": FUZZ_SOURCE})[1]["session"]
+        self.served(fuzz_server, "POST", f"/sessions/{sid}/estimate", body)
+        self.served(fuzz_server, "DELETE", f"/sessions/{sid}", None)
+        self.still_healthy(fuzz_server)
+
+    @given(body=bodies(required=["edits"], edits=EDIT_DOCUMENTS, rows=ROWS,
+                       estimate=st.booleans(), timeout=TIMEOUTS))
+    def test_edits(self, fuzz_server, body):
+        sid = self.served(fuzz_server, "POST", "/sessions",
+                          {"source": FUZZ_SOURCE})[1]["session"]
+        self.served(fuzz_server, "POST", f"/sessions/{sid}/edits", body)
+        self.served(fuzz_server, "POST", f"/sessions/{sid}/estimate", {})
+        self.served(fuzz_server, "DELETE", f"/sessions/{sid}", None)
+        self.still_healthy(fuzz_server)
+
+    @given(body=bodies(
+        required=["modules"],
+        modules=st.lists(bodies(required=["source"], unknown=False,
+                                source=st.just(FUZZ_SOURCE),
+                                format=st.sampled_from(["verilog"])),
+                         min_size=1, max_size=2),
+        tech=TECHS, config=CONFIGS, rows=ROWS, timeout=TIMEOUTS,
+        methodology=st.sampled_from(["standard-cell", "full-custom"]),
+    ))
+    def test_batch_estimate(self, fuzz_server, body):
+        self.served(fuzz_server, "POST", "/estimate", body)
+        self.still_healthy(fuzz_server)
+
+
+def floats_in(value):
+    """Every float in a nest of tuples (a dataclass ``astuple``)."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from floats_in(item)
+    elif isinstance(value, float):
+        yield value
+
+
+class TestBodyDecoders:
+    """The decoders behind the bodies: a result that can be used, or a
+    typed error."""
+
+    @given(EDIT_DOCUMENTS | JSON_VALUES)
+    def test_mutations_from_jsonable(self, document):
+        try:
+            mutations = mutations_from_jsonable(document)
+        except MutationError:
+            return
+        module = FUZZ_MODULE.copy()
+        for mutation in mutations:
+            try:
+                mutation.apply(module)
+            except ReproError:
+                pass
+
+    @given(CONFIGS)
+    def test_config_from_jsonable(self, payload):
+        """An accepted config estimates, under both methodologies, to
+        finite numbers or a typed error."""
+        try:
+            config = server_mod.config_from_jsonable(payload)
+        except server_mod._HTTPFail as exc:
+            assert exc.status == 400
+            return
+        try:
+            record = ModuleAreaEstimator(nmos_process(), config).estimate(
+                FUZZ_MODULE
+            )
+        except ReproError:
+            return
+        assert all(map(math.isfinite, floats_in(dataclasses.astuple(record))))
 
 
 class TestShutdownEndpoint:
